@@ -43,12 +43,8 @@ _ENGINE_METHODS = (
     "_iter_counted_chunks",
     "_run_dispatch",
     "_run_plain",
-    "_run_plain_counted",
-    "_run_plain_generic",
     "_run_plain_masked",
-    "_run_plain_nohook",
-    "_run_traced",
-    "_run_with_faults",
+    "_run_checked",
     "_settle_unfulfilled",
 )
 

@@ -95,8 +95,11 @@ class RunManifest:
     from the :class:`~repro.obs.timing.Stopwatch` shim; ``phases`` is
     the named-section timing breakdown (merge/run/settle wall seconds
     from :meth:`Stopwatch.section`); ``metrics`` is the run's embedded
-    counter snapshot (see :mod:`repro.obs.metrics`); ``extra`` holds
-    caller context (trial index, protocol name, sweep parameters, ...).
+    counter snapshot (see :mod:`repro.obs.metrics`); ``loop`` names the
+    engine loop that ran (``"plain"``, ``"masked"`` or ``"checked"``;
+    ``None`` in manifests written before it was recorded); ``extra``
+    holds caller context (trial index, protocol name, sweep
+    parameters, ...).
     """
 
     config_fingerprint: str
@@ -107,6 +110,7 @@ class RunManifest:
     n_events: Optional[int] = None
     phases: Dict[str, float] = dataclasses.field(default_factory=dict)
     metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    loop: Optional[str] = None
     environment: Dict[str, Any] = dataclasses.field(
         default_factory=environment_provenance
     )

@@ -29,7 +29,7 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
+    Union,
 )
 
 import numpy as np
@@ -44,7 +44,7 @@ _DEFAULT_CHUNK_EVENTS = 1 << 18
 #: smaller blocks skip more but amortize less vectorized work.
 _MASK_BLOCK_EVENTS = 1 << 15
 #: Below this node count the activity mask cannot stay selective (every
-#: node requests within one block) and the segmented loop is used.
+#: node requests within one block) and the plain loop is used.
 _MASK_MIN_NODES = 512
 
 #: Version of the engine's observable semantics, keyed into the
@@ -74,6 +74,7 @@ from .events import (
     EVENT_REQUEST,
     Chunk as _Chunk,
     EventStream,
+    StreamSideState,
     build_event_stream,
     compute_plain_payloads,
     cut_chunks,
@@ -247,12 +248,11 @@ class Simulation:
         self.occupancy = np.zeros((n_nodes, config.n_items), dtype=bool)
         self.sticky_owner: Optional[IntArray] = None
         self._initialized = False
-        # Tracing: an inactive tracer (NullSink) resolves to None, and
-        # run() then selects the bare event handlers — the untraced hot
-        # path is byte-identical to the pre-telemetry engine.  Traced
-        # runs use the _traced_* duplicates, which interleave emission
-        # with the same logic.  Emission sites outside the hot loop
-        # (replication, faults, settlement) stay guarded inline.
+        # Tracing: an inactive tracer (NullSink) resolves to None.
+        # Traced runs take the checked loop.  Every emission site — in
+        # that loop and in the shared helpers (fulfillment, expiry,
+        # replication, faults, settlement) — is one guarded tracer
+        # call, so an untraced run pays only the None tests.
         self.tracer: Optional[Tracer] = (
             tracer if tracer is not None and tracer.active else None
         )
@@ -290,8 +290,8 @@ class Simulation:
             int(seed) if isinstance(seed, (int, np.integer)) else None
         )
         #: Simulated time of the event being processed; maintained by the
-        #: traced handler wrappers so replication events emitted from
-        #: inside protocol hooks carry the right timestamp.
+        #: checked loop so replication events emitted from inside
+        #: protocol hooks carry the right timestamp.
         self._now = 0.0
         if self.tracer is not None:
             self.tracer.emit(
@@ -408,32 +408,11 @@ class Simulation:
         self._event_a: Optional[IntArray] = None
         self._event_b: Optional[IntArray] = None
         self._chunks: Optional[List[_Chunk]] = None
-        prebuilt = self._prebuilt_events
-        if prebuilt is not None:
-            self._check_prebuilt(prebuilt)
-            self._streamed = False
-            self._install_side_state(
-                prebuilt.fault_events,
-                prebuilt.fault_times,
-                prebuilt.req_times,
-                prebuilt.req_items,
-                prebuilt.req_nodes,
-                prebuilt.is_server,
-                prebuilt.requester,
-                prebuilt.all_servers,
-                prebuilt.snap_times,
-            )
-            self._n_events = prebuilt.n_events
-            self._event_times = prebuilt.event_times
-            self._event_kinds = prebuilt.event_kinds
-            self._event_a = prebuilt.event_a
-            self._event_b = prebuilt.event_b
-            self._chunks = prebuilt.chunks
-            return
         trace = self.trace
         requests = self.requests
-        self._streamed = self._chunk_events is not None or _memmap_backed(
-            trace.times
+        prebuilt = self._prebuilt_events
+        self._streamed = prebuilt is None and (
+            self._chunk_events is not None or _memmap_backed(trace.times)
         )
         if self._streamed:
             # Nothing is materialized up front: _iter_streamed_chunks
@@ -441,39 +420,23 @@ class Simulation:
             side = stream_side_state(
                 trace, requests, self.config, self.faults
             )
-            self._install_side_state(
-                side.fault_events,
-                side.fault_times,
-                side.req_times,
-                side.req_items,
-                side.req_nodes,
-                side.is_server,
-                side.requester,
-                side.all_servers,
-                side.snap_times,
-            )
+            self._install_side_state(side)
             self._n_events = (
                 len(side.fault_events) + len(requests.times) + len(trace.times)
             )
             return
-        stream = build_event_stream(
-            trace,
-            requests,
-            self.config,
-            self.faults,
-            payloads=self._payload_needed,
-        )
-        self._install_side_state(
-            stream.fault_events,
-            stream.fault_times,
-            stream.req_times,
-            stream.req_items,
-            stream.req_nodes,
-            stream.is_server,
-            stream.requester,
-            stream.all_servers,
-            stream.snap_times,
-        )
+        if prebuilt is not None:
+            self._check_prebuilt(prebuilt)
+            stream = prebuilt
+        else:
+            stream = build_event_stream(
+                trace,
+                requests,
+                self.config,
+                self.faults,
+                payloads=self._payload_needed,
+            )
+        self._install_side_state(stream)
         self._n_events = stream.n_events
         self._event_times = stream.event_times
         self._event_kinds = stream.event_kinds
@@ -482,26 +445,17 @@ class Simulation:
         self._chunks = stream.chunks
 
     def _install_side_state(
-        self,
-        fault_events: List[FaultEvent],
-        fault_times: FloatArray,
-        req_times: FloatArray,
-        req_items: IntArray,
-        req_nodes: IntArray,
-        is_server: npt.NDArray[np.bool_],
-        requester: npt.NDArray[np.bool_],
-        all_servers: bool,
-        snap_times: List[float],
+        self, side: Union[StreamSideState, EventStream]
     ) -> None:
-        self._fault_events = fault_events
-        self._fault_times = fault_times
-        self._req_times = req_times
-        self._req_items = req_items
-        self._req_nodes = req_nodes
-        self._is_server_arr = is_server
-        self._requester_arr = requester
-        self._all_servers = all_servers
-        self._snap_times = snap_times
+        self._fault_events = side.fault_events
+        self._fault_times = side.fault_times
+        self._req_times = side.req_times
+        self._req_items = side.req_items
+        self._req_nodes = side.req_nodes
+        self._is_server_arr = side.is_server
+        self._requester_arr = side.requester
+        self._all_servers = side.all_servers
+        self._snap_times = side.snap_times
 
     def _check_prebuilt(self, stream: EventStream) -> None:
         """A prebuilt stream is only trusted for this very run.
@@ -845,18 +799,17 @@ class Simulation:
         timer = Stopwatch() if self._collect_manifest else None
         phases = self._phase_timer
         # Loop specialization instead of per-event branching: untraced
-        # fault-free runs take the fully inlined plain loop (no tracer,
-        # online, or drop-probability tests at all), untraced runs with
-        # fault injection add exactly those tests back, and traced runs
-        # use the _traced_* handler duplicates.  All three consume the
+        # fault-free runs take a plain loop (no tracer, online, or
+        # drop-probability tests at all); faults or tracing add exactly
+        # those tests back in the checked loop.  All loops consume the
         # same pre-chunked event stream, so snapshot instants and event
         # order are identical by construction.
         if phases is None:
-            self._run_dispatch()
+            loop = self._run_dispatch()
             n_unfulfilled = self._settle_unfulfilled()
         else:
             with phases.section("run"):
-                self._run_dispatch()
+                loop = self._run_dispatch()
             with phases.section("settle"):
                 n_unfulfilled = self._settle_unfulfilled()
         manifest = None
@@ -872,6 +825,7 @@ class Simulation:
                 n_events=self._n_events,
                 phases=dict(phases.sections),
                 metrics=self._metrics_snapshot(n_unfulfilled),
+                loop=loop,
             ).to_dict()
         if self._metrics_reg is not None:
             self._publish_run_metrics(n_unfulfilled, timer)
@@ -889,14 +843,26 @@ class Simulation:
             self.tracer.flush()
         return result
 
-    def _run_dispatch(self) -> None:
-        """Select and run the specialized loop for this (tracing, faults)."""
-        if self.tracer is not None:
-            self._run_traced()
-        elif self.faults is None:
-            self._run_plain()
-        else:
-            self._run_with_faults()
+    def _run_dispatch(self) -> str:
+        """Run the one loop this run's inputs select; return its name.
+
+        A tracer or a fault schedule selects ``"checked"``.  Otherwise
+        a fully hook-free protocol on at least ``_MASK_MIN_NODES``
+        nodes — where the activity mask stays selective — selects
+        ``"masked"``, and everything else ``"plain"``.
+        """
+        if self.tracer is not None or self.faults is not None:
+            self._run_checked()
+            return "checked"
+        if (
+            self._hook_free_contact
+            and self._hook_free_fulfill
+            and len(self.nodes) >= _MASK_MIN_NODES
+        ):
+            self._run_plain_masked()
+            return "masked"
+        self._run_plain()
+        return "plain"
 
     def _metrics_snapshot(self, n_unfulfilled: int) -> Dict[str, object]:
         """The manifest's embedded metrics snapshot (counters only).
@@ -985,192 +951,8 @@ class Simulation:
             ).observe(timer.wall)
 
     # ------------------------------------------------------------------
-    # traced handlers (selected in run() when tracing is on)
-    #
-    # These duplicate the bare handlers below plus emission sites, so
-    # the untraced hot path carries no tracer loads or is-None tests at
-    # all.  Keep both copies in sync: the tracing-equivalence tests in
-    # tests/sim/test_tracing.py assert traced and untraced runs produce
-    # bit-identical results.
-    # ------------------------------------------------------------------
-    def _traced_request(self, t: float, item: int, node_id: int) -> None:
-        self._now = t
-        tracer = self.tracer
-        assert tracer is not None  # selected only when tracing is active
-        node = self.nodes[node_id]
-        if not node.online:
-            # The device is down; its user generates no request.
-            self.metrics.n_requests_offline += 1
-            tracer.emit(trace_events.OFFLINE, t, item=item, node=node_id)
-            return
-        self.metrics.record_generated()
-        if node.is_server and node.cache is not None and item in node.cache:
-            if self._skip_self:
-                self.metrics.record_skipped_self()
-                tracer.emit(trace_events.SKIPPED, t, item=item, node=node_id)
-                return
-            h0 = self._h0
-            if not math.isfinite(h0):
-                raise SimulationError(
-                    f"{self.config.utility.name} has h(0+) = inf and node "
-                    f"{node_id} requested item {item} it already caches; "
-                    "use self_request_policy='skip' or a dedicated-node "
-                    "scenario"
-                )
-            self.metrics.record_fulfillment(t, 0.0, h0, immediate=True)
-            tracer.emit(
-                trace_events.IMMEDIATE, t, item=item, node=node_id, gain=h0
-            )
-            return
-        node.add_request(Request(item, node_id, t))
-        tracer.emit(trace_events.REQUEST, t, item=item, node=node_id)
-
-    def _traced_contact(self, t: float, a: int, b: int) -> None:
-        self._now = t
-        nodes = self.nodes
-        node_a = nodes[a]
-        node_b = nodes[b]
-        if not (node_a.online and node_b.online):
-            self.metrics.n_contacts_blocked += 1
-            return
-        if self._drop_prob > 0.0 and self._fault_rng is not None:
-            if self._fault_rng.random() < self._drop_prob:
-                self.metrics.n_contacts_dropped += 1
-                assert self.tracer is not None
-                self.tracer.emit(trace_events.CONTACT_DROP, t, a=a, b=b)
-                return
-        if (
-            self._hook_free_contact
-            and not node_a.outstanding
-            and not node_b.outstanding
-        ):
-            # Nothing to query in either direction and the protocol has
-            # no contact hook: the meeting is a no-op.
-            return
-        self._traced_exchange(t, node_a, node_b)
-        self._traced_exchange(t, node_b, node_a)
-        if not self._hook_free_contact:
-            self.protocol.after_contact(self, t, node_a, node_b)
-
-    def _traced_exchange(
-        self, t: float, requester: NodeState, provider: NodeState
-    ) -> None:
-        if not provider.is_server:
-            return
-        outstanding = requester.outstanding
-        if not outstanding:
-            return
-        timeout = self._timeout
-        if timeout is not None:
-            self._traced_expire(requester, t - timeout)
-            if not outstanding:
-                return
-        provider_cache = provider.cache  # non-None: provider is a server
-        tracer = self.tracer
-        assert tracer is not None
-        fulfilled = None
-        for item, request_list in outstanding.items():
-            for request in request_list:
-                request.counter += 1
-            # One SEEN event per (item, requester) query edge — the
-            # Lemma-1 meeting process — covering all n same-item
-            # requests at this node.
-            tracer.emit(
-                trace_events.SEEN,
-                t,
-                item=item,
-                node=requester.node_id,
-                server=provider.node_id,
-                n=len(request_list),
-            )
-            if item in provider_cache:
-                if fulfilled is None:
-                    fulfilled = [item]
-                else:
-                    fulfilled.append(item)
-        if fulfilled is None:
-            return
-        utility = self._utility
-        h0 = self._h0
-        isfinite = math.isfinite
-        record_fulfillment = self.metrics.record_fulfillment
-        notify = not self._hook_free_fulfill
-        on_fulfill = self.protocol.on_fulfill
-        for item in fulfilled:
-            for request in outstanding.pop(item):
-                delay = t - request.created_at
-                gain = float(utility(delay)) if delay > 0 else h0
-                if not isfinite(gain):
-                    # Measure-zero tie between a request and a contact at
-                    # the same instant under an unbounded utility.
-                    gain = 0.0
-                record_fulfillment(t, delay, gain)
-                tracer.emit(
-                    trace_events.FULFILL,
-                    t,
-                    item=item,
-                    node=requester.node_id,
-                    server=provider.node_id,
-                    delay=delay,
-                    gain=gain,
-                    counter=request.counter,
-                )
-                if notify:
-                    on_fulfill(
-                        self, t, requester, provider, item, request.counter
-                    )
-
-    def _traced_expire(self, node: NodeState, deadline: float) -> None:
-        abandoned_gain = self._abandoned_gain
-        credit = self._credit_abandoned
-        stale_items = None
-        for item, request_list in node.outstanding.items():
-            if any(r.created_at < deadline for r in request_list):
-                if stale_items is None:
-                    stale_items = [item]
-                else:
-                    stale_items.append(item)
-        if stale_items is None:
-            return
-        tracer = self.tracer
-        assert tracer is not None
-        for item in stale_items:
-            request_list = node.outstanding[item]
-            kept = [r for r in request_list if r.created_at >= deadline]
-            expired = len(request_list) - len(kept)
-            if credit:
-                for _ in range(expired):
-                    self.metrics.record_abandonment(deadline, abandoned_gain)
-            self.metrics.n_expired += expired
-            for request in request_list:
-                if request.created_at < deadline:
-                    tracer.emit(
-                        trace_events.ABANDON,
-                        deadline,
-                        item=item,
-                        node=node.node_id,
-                        created_at=request.created_at,
-                    )
-            if kept:
-                node.outstanding[item] = kept
-            else:
-                del node.outstanding[item]
-
-    def _traced_fault(self, t: float, event: FaultEvent) -> None:
-        self._now = t
-        self._apply_fault(t, event)
-
-    # ------------------------------------------------------------------
-    # specialized event loops
-    #
-    # Three copies of the event loop over the pre-chunked stream, one
-    # per (tracing, faults) mode.  The plain loop inlines request
-    # bookkeeping and skips exchange calls whose early-return guards
-    # (non-server provider, empty outstanding table) are visible from
-    # the flat state tables — those guards touch no state and no RNG,
-    # so eliding the call is bit-identical.  Keep the copies in sync:
-    # the equivalence tests in tests/sim/ compare all of them against
-    # sim/_reference.py.
+    # event loops (picked by _run_dispatch; all share _fulfill_hits and
+    # _expire_requests, and tests/sim/ pins each to sim/_reference.py)
     # ------------------------------------------------------------------
     def _run_plain(self) -> None:
         """Untraced, fault-free: every node is permanently online.
@@ -1180,40 +962,11 @@ class Simulation:
         when that direction's provider is not a server), requests carry
         the node's count at creation (stashed in ``Request.counter``
         and turned into the final query counter by subtraction at
-        fulfillment — see ``_fulfill_hits``).  Fully hook-free
-        protocols on large node sets take the vectorized masked loop;
-        everything else takes a specialized segmented per-index loop.
-        The segmented loops precompute each chunk's request positions,
-        so the inner contact runs carry no per-event kind test and
-        read the time and payload columns only when a direction can
-        actually matter.  Keep the loop copies in sync: they differ
-        only in hook dispatch.
-        """
-        if self._hook_free_contact:
-            if self._hook_free_fulfill and len(self.nodes) >= _MASK_MIN_NODES:
-                self._run_plain_masked()
-            else:
-                self._run_plain_nohook()
-        elif self._contact_hook_idle and bool(
-            getattr(self.protocol, "mandates_touch_only_hook_nodes", False)
-        ):
-            self._run_plain_counted()
-        else:
-            self._run_plain_generic()
-
-    def _run_plain_counted(self) -> None:
-        """Segmented plain loop with mandate-presence counting.
-
-        For protocols promising both an idle mandate-free contact hook
-        and hook mutations confined to the hook's own nodes
-        (``mandates_touch_only_hook_nodes``, the QCR family), a running
-        count of mandate-holding nodes replaces the per-contact mandate
-        table reads: while the count is zero and neither endpoint has
-        outstanding requests — QCR's common steady state — the contact
-        provably touches no state at all and the loop skips it without
-        further reads.  The count is re-derived from the two endpoint
-        entries around every call that may mutate them, so it stays
-        exact.
+        fulfillment — see ``_fulfill_hits``).  Each chunk's request
+        positions are precomputed, so the inner contact runs carry no
+        per-event kind test, and a direction whose requester has
+        nothing outstanding or whose provider is not a server is
+        skipped from the flat tables alone (no state, no RNG).
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1223,451 +976,7 @@ class Simulation:
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
         fulfill_direction = self._fulfill_direction
-        mand_count = sum(1 for mand in mandates_tbl if mand)
-        after_contact = self.protocol.after_contact
-        skip_self = self._skip_self
-        h0 = self._h0
-        h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
-        x_always = self._all_servers
-        # Single-item step-utility fulfills — the dominant fulfill shape
-        # — are inlined below with ``record_fulfillment``'s exact
-        # statement order; everything else routes through
-        # ``_fulfill_hits``.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
-        notify = not self._hook_free_fulfill
-        on_fulfill = self.protocol.on_fulfill
-        # sole_tbl[u] is the node's single outstanding item id, or -1
-        # when it has zero or several: one list load replaces the
-        # ``len(out) == 1`` probe plus key-iterator on every
-        # guard-passing contact.  Every outstanding-dict mutation below
-        # keeps it exact (protocol hooks never touch outstanding).
-        sole_tbl = [
-            next(iter(out)) if len(out) == 1 else -1
-            for out in outstanding_tbl
-        ]
-        for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
-            self._iter_chunks()
-        ):
-            n = len(kinds_b)
-            assert px is not None and py is not None and req_pos is not None
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            mx = memoryview(px)
-            my = memoryview(py)
-            seg = 0
-            for rp in (*req_pos, n):
-                for p in range(seg, rp):
-                    # A contact: skip without further reads unless an
-                    # endpoint has outstanding requests or any node
-                    # holds mandates.
-                    a = ma[p]
-                    b = mb[p]
-                    out_a = outstanding_tbl[a]
-                    out_b = outstanding_tbl[b]
-                    if out_a or out_b or mand_count:
-                        if mand_count:
-                            pre = (1 if mandates_tbl[a] else 0) + (
-                                1 if mandates_tbl[b] else 0
-                            )
-                        else:
-                            pre = 0
-                        hit = False
-                        if out_a and (x_always or mx[p] >= 0):
-                            if not no_timeout:
-                                hit = True
-                                fulfill_direction(mt[p], a, b, mx[p])
-                                if len(out_a) == 1:
-                                    for item in out_a:
-                                        break
-                                    sole_tbl[a] = item
-                                else:
-                                    sole_tbl[a] = -1
-                            else:
-                                item = sole_tbl[a]
-                                if item >= 0:
-                                    if item in cache_tbl[b]:
-                                        hit = True
-                                        sole_tbl[a] = -1
-                                        if step_fast:
-                                            t_ev = mt[p]
-                                            meet = mx[p]
-                                            window = min(
-                                                int(t_ev / window_length),
-                                                last_window,
-                                            )
-                                            for request in out_a.pop(item):
-                                                delay = (
-                                                    t_ev - request.created_at
-                                                )
-                                                if delay > 0:
-                                                    gain = (
-                                                        1.0
-                                                        if delay <= step_tau
-                                                        else 0.0
-                                                    )
-                                                else:
-                                                    gain = tie_gain
-                                                metrics.total_gain += gain
-                                                metrics.n_fulfilled += 1
-                                                delays_append(delay)
-                                                window_gains[window] += gain
-                                                window_fulfillments[
-                                                    window
-                                                ] += 1
-                                                if notify:
-                                                    on_fulfill(
-                                                        self,
-                                                        t_ev,
-                                                        nodes[a],
-                                                        nodes[b],
-                                                        item,
-                                                        meet
-                                                        - request.counter,
-                                                    )
-                                        else:
-                                            fulfill_hits(
-                                                mt[p], a, b, mx[p],
-                                                out_a, (item,),
-                                            )
-                                else:
-                                    hits = out_a.keys() & cache_tbl[b]
-                                    if hits:
-                                        hit = True
-                                        fulfill_hits(
-                                            mt[p], a, b, mx[p], out_a, hits
-                                        )
-                                        if len(out_a) == 1:
-                                            for item in out_a:
-                                                break
-                                            sole_tbl[a] = item
-                        if out_b and (x_always or my[p] >= 0):
-                            if not no_timeout:
-                                hit = True
-                                fulfill_direction(mt[p], b, a, my[p])
-                                if len(out_b) == 1:
-                                    for item in out_b:
-                                        break
-                                    sole_tbl[b] = item
-                                else:
-                                    sole_tbl[b] = -1
-                            else:
-                                item = sole_tbl[b]
-                                if item >= 0:
-                                    if item in cache_tbl[a]:
-                                        hit = True
-                                        sole_tbl[b] = -1
-                                        if step_fast:
-                                            t_ev = mt[p]
-                                            meet = my[p]
-                                            window = min(
-                                                int(t_ev / window_length),
-                                                last_window,
-                                            )
-                                            for request in out_b.pop(item):
-                                                delay = (
-                                                    t_ev - request.created_at
-                                                )
-                                                if delay > 0:
-                                                    gain = (
-                                                        1.0
-                                                        if delay <= step_tau
-                                                        else 0.0
-                                                    )
-                                                else:
-                                                    gain = tie_gain
-                                                metrics.total_gain += gain
-                                                metrics.n_fulfilled += 1
-                                                delays_append(delay)
-                                                window_gains[window] += gain
-                                                window_fulfillments[
-                                                    window
-                                                ] += 1
-                                                if notify:
-                                                    on_fulfill(
-                                                        self,
-                                                        t_ev,
-                                                        nodes[b],
-                                                        nodes[a],
-                                                        item,
-                                                        meet
-                                                        - request.counter,
-                                                    )
-                                        else:
-                                            fulfill_hits(
-                                                mt[p], b, a, my[p],
-                                                out_b, (item,),
-                                            )
-                                else:
-                                    hits = out_b.keys() & cache_tbl[a]
-                                    if hits:
-                                        hit = True
-                                        fulfill_hits(
-                                            mt[p], b, a, my[p], out_b, hits
-                                        )
-                                        if len(out_b) == 1:
-                                            for item in out_b:
-                                                break
-                                            sole_tbl[b] = item
-                        if hit or pre:
-                            if mandates_tbl[a] or mandates_tbl[b]:
-                                after_contact(
-                                    self, mt[p], nodes[a], nodes[b]
-                                )
-                            mand_count += (
-                                (1 if mandates_tbl[a] else 0)
-                                + (1 if mandates_tbl[b] else 0)
-                                - pre
-                            )
-                if rp < n:  # the request splitting this segment
-                    item = ma[rp]
-                    node_id = mb[rp]
-                    metrics.n_generated += 1
-                    if item in cache_tbl[node_id]:
-                        if skip_self:
-                            metrics.n_skipped_self += 1
-                        elif h0_finite:
-                            record_fulfillment(
-                                mt[rp], 0.0, h0, immediate=True
-                            )
-                        else:
-                            self._raise_infinite_h0(item, node_id)
-                    else:
-                        out = outstanding_tbl[node_id]
-                        request_list = out.get(item)
-                        if request_list is None:
-                            out[item] = [
-                                Request(item, node_id, mt[rp], mx[rp])
-                            ]
-                            sole_tbl[node_id] = (
-                                item if len(out) == 1 else -1
-                            )
-                        else:
-                            request_list.append(
-                                Request(item, node_id, mt[rp], mx[rp])
-                            )
-                seg = rp + 1
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_plain_nohook(self) -> None:
-        """Segmented plain loop, no contact hook (static protocols)."""
-        nodes = self.nodes
-        outstanding_tbl = self._outstanding_tbl
-        cache_tbl = self._cache_tbl
-        metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
-        fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
-        skip_self = self._skip_self
-        h0 = self._h0
-        h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
-        x_always = self._all_servers
-        # Single-item step-utility fulfills — the dominant fulfill shape
-        # — are inlined below with ``record_fulfillment``'s exact
-        # statement order; everything else routes through
-        # ``_fulfill_hits``.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
-        notify = not self._hook_free_fulfill
-        on_fulfill = self.protocol.on_fulfill
-        # sole_tbl[u]: the single outstanding item id, or -1 when the
-        # node has zero or several (see _run_plain_counted).
-        sole_tbl = [
-            next(iter(out)) if len(out) == 1 else -1
-            for out in outstanding_tbl
-        ]
-        for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
-            self._iter_chunks()
-        ):
-            n = len(kinds_b)
-            assert px is not None and py is not None and req_pos is not None
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            mx = memoryview(px)
-            my = memoryview(py)
-            seg = 0
-            for rp in (*req_pos, n):
-                for p in range(seg, rp):
-                    a = ma[p]
-                    b = mb[p]
-                    out = outstanding_tbl[a]
-                    if out and (x_always or mx[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], a, b, mx[p])
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                sole_tbl[a] = item
-                            else:
-                                sole_tbl[a] = -1
-                        else:
-                            item = sole_tbl[a]
-                            if item >= 0:
-                                if item in cache_tbl[b]:
-                                    sole_tbl[a] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = mx[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[a],
-                                                    nodes[b],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], a, b, mx[p], out, (item,)
-                                        )
-                            else:
-                                hits = out.keys() & cache_tbl[b]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[p], a, b, mx[p], out, hits
-                                    )
-                                    if len(out) == 1:
-                                        for item in out:
-                                            break
-                                        sole_tbl[a] = item
-                    out = outstanding_tbl[b]
-                    if out and (x_always or my[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], b, a, my[p])
-                            if len(out) == 1:
-                                for item in out:
-                                    break
-                                sole_tbl[b] = item
-                            else:
-                                sole_tbl[b] = -1
-                        else:
-                            item = sole_tbl[b]
-                            if item >= 0:
-                                if item in cache_tbl[a]:
-                                    sole_tbl[b] = -1
-                                    if step_fast:
-                                        t_ev = mt[p]
-                                        meet = my[p]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = t_ev - request.created_at
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                            if notify:
-                                                on_fulfill(
-                                                    self,
-                                                    t_ev,
-                                                    nodes[b],
-                                                    nodes[a],
-                                                    item,
-                                                    meet - request.counter,
-                                                )
-                                    else:
-                                        fulfill_hits(
-                                            mt[p], b, a, my[p], out, (item,)
-                                        )
-                            else:
-                                hits = out.keys() & cache_tbl[a]
-                                if hits:
-                                    fulfill_hits(
-                                        mt[p], b, a, my[p], out, hits
-                                    )
-                                    if len(out) == 1:
-                                        for item in out:
-                                            break
-                                        sole_tbl[b] = item
-                if rp < n:  # the request splitting this segment
-                    item = ma[rp]
-                    node_id = mb[rp]
-                    metrics.n_generated += 1
-                    if item in cache_tbl[node_id]:
-                        if skip_self:
-                            metrics.n_skipped_self += 1
-                        elif h0_finite:
-                            record_fulfillment(
-                                mt[rp], 0.0, h0, immediate=True
-                            )
-                        else:
-                            self._raise_infinite_h0(item, node_id)
-                    else:
-                        out = outstanding_tbl[node_id]
-                        request_list = out.get(item)
-                        if request_list is None:
-                            out[item] = [
-                                Request(item, node_id, mt[rp], mx[rp])
-                            ]
-                            sole_tbl[node_id] = (
-                                item if len(out) == 1 else -1
-                            )
-                        else:
-                            request_list.append(
-                                Request(item, node_id, mt[rp], mx[rp])
-                            )
-                seg = rp + 1
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_plain_generic(self) -> None:
-        """Segmented plain loop, generic hook dispatch (fallback)."""
-        nodes = self.nodes
-        outstanding_tbl = self._outstanding_tbl
-        cache_tbl = self._cache_tbl
-        mandates_tbl = self._mandates_tbl
-        metrics = self.metrics
-        record_fulfillment = metrics.record_fulfillment
-        fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        hooked = not self._hook_free_contact
         idle_hook = self._contact_hook_idle
         after_contact = self.protocol.after_contact
         skip_self = self._skip_self
@@ -1720,7 +1029,9 @@ class Simulation:
                             hits = out.keys() & cache_tbl[a]
                             if hits:
                                 fulfill_hits(mt[p], b, a, my[p], out, hits)
-                    if not idle_hook or mandates_tbl[a] or mandates_tbl[b]:
+                    if hooked and (
+                        not idle_hook or mandates_tbl[a] or mandates_tbl[b]
+                    ):
                         after_contact(self, mt[p], nodes[a], nodes[b])
                 if rp < n:  # the request splitting this segment
                     item = ma[rp]
@@ -1830,16 +1141,6 @@ class Simulation:
         h0_finite = self._h0_finite
         no_timeout = self._timeout is None
         x_always = self._all_servers
-        # Hook-free implies no fulfill notification, so the single-item
-        # step-utility fast path inlines ``record_fulfillment`` directly.
-        step_tau = self._step_tau
-        step_fast = step_tau is not None
-        tie_gain = h0 if h0_finite else 0.0
-        delays_append = metrics.delays.append
-        window_gains = metrics.window_gains
-        window_fulfillments = metrics.window_fulfillments
-        window_length = metrics.window_length
-        last_window = len(window_gains) - 1
         active = np.zeros(len(self.nodes), dtype=bool)
         for node_id, out in enumerate(outstanding_tbl):
             if out:
@@ -1875,34 +1176,9 @@ class Simulation:
                                 for item in out:
                                     break
                                 if item in cache_tbl[b]:
-                                    if step_fast:
-                                        t_ev = mt[gp]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = (
-                                                t_ev - request.created_at
-                                            )
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                    else:
-                                        fulfill_hits(
-                                            mt[gp], a, b, mx[gp], out,
-                                            (item,),
-                                        )
+                                    fulfill_hits(
+                                        mt[gp], a, b, mx[gp], out, (item,)
+                                    )
                             else:
                                 hits = out.keys() & cache_tbl[b]
                                 if hits:
@@ -1919,34 +1195,9 @@ class Simulation:
                                 for item in out:
                                     break
                                 if item in cache_tbl[a]:
-                                    if step_fast:
-                                        t_ev = mt[gp]
-                                        window = min(
-                                            int(t_ev / window_length),
-                                            last_window,
-                                        )
-                                        for request in out.pop(item):
-                                            delay = (
-                                                t_ev - request.created_at
-                                            )
-                                            if delay > 0:
-                                                gain = (
-                                                    1.0
-                                                    if delay <= step_tau
-                                                    else 0.0
-                                                )
-                                            else:
-                                                gain = tie_gain
-                                            metrics.total_gain += gain
-                                            metrics.n_fulfilled += 1
-                                            delays_append(delay)
-                                            window_gains[window] += gain
-                                            window_fulfillments[window] += 1
-                                    else:
-                                        fulfill_hits(
-                                            mt[gp], b, a, my[gp], out,
-                                            (item,),
-                                        )
+                                    fulfill_hits(
+                                        mt[gp], b, a, my[gp], out, (item,)
+                                    )
                             else:
                                 hits = out.keys() & cache_tbl[a]
                                 if hits:
@@ -1983,12 +1234,17 @@ class Simulation:
             if snap is not None:
                 self._take_snapshot(snap)
 
-    def _run_with_faults(self) -> None:
-        """Untraced with fault injection: online/drop tests restored.
+    def _run_checked(self) -> None:
+        """Faults and/or tracing: online, drop and emission checks.
 
         Blocked and dropped contacts must not advance query counters,
         so the per-node server-meeting counts are maintained here
-        dynamically instead of precomputed from the trace.
+        dynamically instead of precomputed from the trace.  Every
+        lifecycle emission is one guarded tracer call; FULFILL and
+        ABANDON come from the shared ``_fulfill_hits`` and
+        ``_expire_requests``.  ``_now`` follows the event clock so
+        replication events emitted from protocol hooks and fault
+        handlers carry the right timestamp.
         """
         nodes = self.nodes
         outstanding_tbl = self._outstanding_tbl
@@ -1997,7 +1253,10 @@ class Simulation:
         mandates_tbl = self._mandates_tbl
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
-        fulfill_direction = self._fulfill_direction
+        fulfill_hits = self._fulfill_hits
+        expire = self._expire_requests
+        timeout = self._timeout
+        tracer = self.tracer
         hooked = not self._hook_free_contact
         idle_hook = self._contact_hook_idle
         after_contact = self.protocol.after_contact
@@ -2029,17 +1288,49 @@ class Simulation:
                     if drop_prob > 0.0 and fault_rng is not None:
                         if fault_rng.random() < drop_prob:
                             metrics.n_contacts_dropped += 1
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.CONTACT_DROP, t, a=a, b=b
+                                )
                             continue
+                    self._now = t
+                    # Each direction: count the server meeting, expire,
+                    # then one SEEN per (item, requester) query edge —
+                    # the Lemma-1 meeting process — before fulfilling.
                     if is_server_tbl[b]:
                         count = meet_counts[a] + 1
                         meet_counts[a] = count
-                        if outstanding_tbl[a]:
-                            fulfill_direction(t, a, b, count)
+                        out = outstanding_tbl[a]
+                        if out and timeout is not None:
+                            expire(node_a, t - timeout)
+                        if out:
+                            if tracer is not None:
+                                for item, request_list in out.items():
+                                    tracer.emit(
+                                        trace_events.SEEN, t, item=item,
+                                        node=a, server=b,
+                                        n=len(request_list),
+                                    )
+                            hits = out.keys() & cache_tbl[b]
+                            if hits:
+                                fulfill_hits(t, a, b, count, out, hits)
                     if is_server_tbl[a]:
                         count = meet_counts[b] + 1
                         meet_counts[b] = count
-                        if outstanding_tbl[b]:
-                            fulfill_direction(t, b, a, count)
+                        out = outstanding_tbl[b]
+                        if out and timeout is not None:
+                            expire(node_b, t - timeout)
+                        if out:
+                            if tracer is not None:
+                                for item, request_list in out.items():
+                                    tracer.emit(
+                                        trace_events.SEEN, t, item=item,
+                                        node=b, server=a,
+                                        n=len(request_list),
+                                    )
+                            hits = out.keys() & cache_tbl[a]
+                            if hits:
+                                fulfill_hits(t, b, a, count, out, hits)
                     if hooked and (
                         not idle_hook or mandates_tbl[a] or mandates_tbl[b]
                     ):
@@ -2047,17 +1338,32 @@ class Simulation:
                 elif kind == 1:  # EVENT_REQUEST: a = item, b = node
                     item = ma[p]
                     node_id = mb[p]
+                    t = mt[p]
                     if not nodes[node_id].online:
                         # The device is down; no request is generated.
                         metrics.n_requests_offline += 1
+                        if tracer is not None:
+                            tracer.emit(
+                                trace_events.OFFLINE, t,
+                                item=item, node=node_id,
+                            )
                         continue
-                    t = mt[p]
                     metrics.n_generated += 1
                     if item in cache_tbl[node_id]:
                         if skip_self:
                             metrics.n_skipped_self += 1
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.SKIPPED, t,
+                                    item=item, node=node_id,
+                                )
                         elif h0_finite:
                             record_fulfillment(t, 0.0, h0, immediate=True)
+                            if tracer is not None:
+                                tracer.emit(
+                                    trace_events.IMMEDIATE, t,
+                                    item=item, node=node_id, gain=h0,
+                                )
                         else:
                             self._raise_infinite_h0(item, node_id)
                     else:
@@ -2071,32 +1377,15 @@ class Simulation:
                             request_list.append(
                                 Request(item, node_id, t, meet_counts[node_id])
                             )
+                        if tracer is not None:
+                            tracer.emit(
+                                trace_events.REQUEST, t,
+                                item=item, node=node_id,
+                            )
                 else:  # EVENT_FAULT: arg_a = fault index
-                    self._apply_fault(mt[p], fault_events[ma[p]])
-            if snap is not None:
-                self._take_snapshot(snap)
-
-    def _run_traced(self) -> None:
-        """Traced: per-event handlers that interleave emission."""
-        fault_events = self._fault_events
-        handle_contact = self._traced_contact
-        handle_request = self._traced_request
-        handle_fault = self._traced_fault
-        for kinds_b, times_b, arg_a, arg_b, _px, _py, _rp, snap in (
-            self._iter_chunks()
-        ):
-            mk = memoryview(kinds_b)
-            mt = memoryview(times_b)
-            ma = memoryview(arg_a)
-            mb = memoryview(arg_b)
-            for p in range(len(kinds_b)):
-                kind = mk[p]
-                if kind == EVENT_CONTACT:
-                    handle_contact(mt[p], ma[p], mb[p])
-                elif kind == EVENT_REQUEST:
-                    handle_request(mt[p], ma[p], mb[p])
-                else:
-                    handle_fault(mt[p], fault_events[ma[p]])
+                    t = mt[p]
+                    self._now = t
+                    self._apply_fault(t, fault_events[ma[p]])
             if snap is not None:
                 self._take_snapshot(snap)
 
@@ -2142,13 +1431,15 @@ class Simulation:
 
         *hits* is any collection supporting ``len`` and membership —
         the hot loops pass a one-element tuple when the requester has a
-        single outstanding item, sparing the set intersection.
+        single outstanding item, sparing the set intersection.  Every
+        loop fulfills here, so this is also where FULFILL is emitted.
         """
         if len(hits) < len(outstanding):
             fulfilled = [item for item in outstanding if item in hits]
         else:
             fulfilled = list(outstanding)
         metrics = self.metrics
+        tracer = self.tracer
         notify = not self._hook_free_fulfill
         on_fulfill = self.protocol.on_fulfill
         requester = self.nodes[requester_id]
@@ -2181,6 +1472,13 @@ class Simulation:
                     delays_append(delay)
                     window_gains[window] += gain
                     window_fulfillments[window] += 1
+                    if tracer is not None:
+                        tracer.emit(
+                            trace_events.FULFILL, t, item=item,
+                            node=requester_id, server=provider_id,
+                            delay=delay, gain=gain,
+                            counter=meet_count - request.counter,
+                        )
                     if notify:
                         on_fulfill(
                             self,
@@ -2204,6 +1502,13 @@ class Simulation:
                     # the same instant under an unbounded utility.
                     gain = 0.0
                 record_fulfillment(t, delay, gain)
+                if tracer is not None:
+                    tracer.emit(
+                        trace_events.FULFILL, t, item=item,
+                        node=requester_id, server=provider_id,
+                        delay=delay, gain=gain,
+                        counter=meet_count - request.counter,
+                    )
                 if notify:
                     on_fulfill(
                         self,
@@ -2215,7 +1520,11 @@ class Simulation:
                     )
 
     def _expire_requests(self, node: NodeState, deadline: float) -> None:
-        """Drop outstanding requests created before *deadline*."""
+        """Drop outstanding requests created before *deadline*.
+
+        ABANDON is emitted only past the early return, so an expiry
+        scan that finds nothing stale costs no tracer test.
+        """
         abandoned_gain = self._abandoned_gain
         credit = self._credit_abandoned
         stale_items = None
@@ -2227,6 +1536,7 @@ class Simulation:
                     stale_items.append(item)
         if stale_items is None:
             return
+        tracer = self.tracer
         for item in stale_items:
             request_list = node.outstanding[item]
             kept = [r for r in request_list if r.created_at >= deadline]
@@ -2235,6 +1545,16 @@ class Simulation:
                 for _ in range(expired):
                     self.metrics.record_abandonment(deadline, abandoned_gain)
             self.metrics.n_expired += expired
+            if tracer is not None:
+                for request in request_list:
+                    if request.created_at < deadline:
+                        tracer.emit(
+                            trace_events.ABANDON,
+                            deadline,
+                            item=item,
+                            node=node.node_id,
+                            created_at=request.created_at,
+                        )
             if kept:
                 node.outstanding[item] = kept
             else:

@@ -410,7 +410,7 @@ class EventStream:
     faults: Optional[FaultSchedule]
     config_fingerprint: str
     #: Whether the plain-mode payload columns were materialized.  A
-    #: payload-bearing stream also serves traced runs (the traced loop
+    #: payload-bearing stream also serves traced runs (the checked loop
     #: ignores payloads); a fault schedule forbids payloads entirely.
     payload_mode: bool
     n_events: int

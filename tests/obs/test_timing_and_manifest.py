@@ -106,6 +106,16 @@ def test_run_manifest_round_trip():
     assert RunManifest.from_dict(data) == manifest
 
 
+def test_run_manifest_records_loop_and_loads_older_manifests():
+    manifest = RunManifest(config_fingerprint="ef56", loop="masked")
+    data = manifest.to_dict()
+    assert data["loop"] == "masked"
+    assert RunManifest.from_dict(data) == manifest
+    # Manifests written before the loop was recorded lack the field.
+    del data["loop"]
+    assert RunManifest.from_dict(data).loop is None
+
+
 def test_run_manifest_from_dict_ignores_unknown_keys():
     manifest = RunManifest.from_dict(
         {"config_fingerprint": "cd34", "future_field": True}

@@ -1,8 +1,9 @@
 """Array-backed engine vs. frozen reference under full instrumentation.
 
-The optimized engine picks one of three hot loops at run time: plain
-(no tracer, no faults), faults-only, or fully traced.  Earlier identity
-tests pin tracing-only and faults-only; these pin the *combined* mode —
+The optimized engine picks one of three loops at run time: plain and
+masked (no tracer, no faults), or checked (faults and/or tracing).
+Earlier identity tests pin tracing-only and faults-only runs of the
+checked loop; these pin the *combined* mode —
 a fault schedule (crashes, recoveries, drops, replica losses) active at
 the same time as JSONL tracing — which exercises the dynamic
 meeting-count bookkeeping and the tracer hooks together.  Every mode
@@ -137,7 +138,8 @@ def test_faults_and_tracing_stream_is_deterministic(builder, tmp_path):
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_faults_only_bit_identical(builder):
-    """The faults-only loop (lazy meeting counts) matches the reference."""
+    """The checked loop with faults only (dynamic meeting counts)
+    matches the reference."""
     demand, trace, requests = workload(seed=9)
     results = []
     for cls in (ReferenceSimulation, Simulation):

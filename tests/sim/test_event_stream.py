@@ -20,7 +20,12 @@ from repro.protocols import (
 )
 from repro.sim import Simulation, SimulationConfig
 from repro.sim._reference import ReferenceSimulation
-from repro.sim.engine import EVENT_CONTACT, EVENT_FAULT, EVENT_REQUEST
+from repro.sim.engine import (
+    _MASK_MIN_NODES,
+    EVENT_CONTACT,
+    EVENT_FAULT,
+    EVENT_REQUEST,
+)
 from repro.utility import StepUtility
 
 N_NODES, N_ITEMS, RHO = 6, 5, 2
@@ -147,14 +152,27 @@ def test_same_time_fault_applies_before_contact():
 # ----------------------------------------------------------------------
 # the frozen pre-optimization engine stays bit-identical
 # ----------------------------------------------------------------------
-def run_both(protocol_builder, *, request_timeout=None, faults=None, seed=3):
-    demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=2.0)
-    trace = homogeneous_poisson_trace(N_NODES, 0.15, 200.0, seed=seed)
-    requests = generate_requests(demand, N_NODES, 200.0, seed=seed + 1)
+def run_both(
+    protocol_builder,
+    *,
+    request_timeout=None,
+    faults=None,
+    seed=3,
+    n_nodes=N_NODES,
+    contact_rate=0.15,
+    total_rate=2.0,
+    servers=None,
+):
+    demand = DemandModel.pareto(N_ITEMS, omega=1.0, total_rate=total_rate)
+    trace = homogeneous_poisson_trace(
+        n_nodes, contact_rate, 200.0, seed=seed
+    )
+    requests = generate_requests(demand, n_nodes, 200.0, seed=seed + 1)
     config = SimulationConfig(
         n_items=N_ITEMS,
         rho=RHO,
         utility=UTILITY,
+        servers=servers,
         request_timeout=request_timeout,
         record_interval=50.0,
     )
@@ -189,3 +207,35 @@ def test_reference_engine_equivalence_with_timeout_and_faults():
         lambda d: QCR(UTILITY, 0.15), request_timeout=25.0, faults=faults
     )
     assert result_to_dict(optimized) == result_to_dict(reference)
+
+
+MASK_NODES = 600
+
+
+@pytest.mark.parametrize(
+    "request_timeout", [None, 8.0], ids=["no-timeout", "timeout"]
+)
+@pytest.mark.parametrize(
+    "n_servers", [MASK_NODES, MASK_NODES // 2], ids=["p2p", "dedicated"]
+)
+def test_reference_engine_equivalence_masked_loop(request_timeout, n_servers):
+    """A hook-free static protocol on at least ``_MASK_MIN_NODES`` nodes
+    takes the vectorized masked loop; it must match the reference bit
+    for bit, with and without a request timeout, and with contacts
+    between two non-servers masked out (the dedicated case)."""
+    assert MASK_NODES >= _MASK_MIN_NODES
+    servers = (
+        None if n_servers == MASK_NODES else tuple(range(n_servers))
+    )
+    optimized, reference = run_both(
+        lambda d: uni_protocol(d, n_servers, RHO),
+        request_timeout=request_timeout,
+        n_nodes=MASK_NODES,
+        contact_rate=0.0005,
+        total_rate=5.0,
+        servers=servers,
+    )
+    assert result_to_dict(optimized) == result_to_dict(reference)
+    assert reference.n_fulfilled > reference.n_immediate > 0
+    if request_timeout is not None:
+        assert reference.n_expired > 0
