@@ -223,7 +223,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             failed = True
         unfaithful = [
-            case["protocol"]
+            case["name"]
             for case in report["engine"]["cases"]
             if not case["bit_identical"]
         ]

@@ -7,8 +7,10 @@ so the perf trajectory is tracked across PRs:
   second) on the optimized :class:`~repro.sim.engine.Simulation` versus
   the frozen pre-optimization baseline
   (:class:`~repro.sim._reference.ReferenceSimulation`), for a hook-free
-  static protocol and for QCR.  Both engines must produce bit-identical
-  results; the speedup is their wall-clock ratio.
+  static protocol and for QCR, each without a request timeout and with
+  the figures' recommended one (the case every Figure 4–6 run takes).
+  Both engines must produce bit-identical results; the speedup is their
+  wall-clock ratio.
 * **streamed large-scale case** — a sparse many-node trace generated
   chunk-by-chunk straight to the binary on-disk format, memory-mapped,
   and simulated through the streamed columnar pipeline; records
@@ -39,6 +41,7 @@ should fail on *crashes or identity violations*, never on timings.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -65,6 +68,7 @@ from ..simcache import fingerprint_trace, run_key
 from ..utility import StepUtility
 from .artifacts import load_spilled_trace, spill_trial_trace
 from .checkpoint import result_to_dict
+from .figures import recommended_timeout
 from .reporting import render_table
 from .runner import run_comparison
 from .scenarios import (
@@ -166,7 +170,11 @@ def _bench_engine_case(
     seed: int,
     repeats: int,
 ) -> Dict[str, Any]:
-    """Time optimized vs. reference engine on one (scenario, protocol)."""
+    """Time optimized vs. reference engine on one (scenario, protocol).
+
+    The case is named after the protocol, with ``+timeout`` appended
+    when the scenario's config carries a request timeout.
+    """
     factories = standard_protocols(scenario, include=(protocol_name,))
     trace = scenario.trace_factory(seed)
     requests = generate_requests(
@@ -183,8 +191,11 @@ def _bench_engine_case(
     ref_seconds, opt_seconds, ref_result, opt_result = _time_run_pair(
         lambda: build(ReferenceSimulation), lambda: build(Simulation), repeats
     )
+    timeout = scenario.config.request_timeout
     return {
+        "name": protocol_name + ("" if timeout is None else "+timeout"),
         "protocol": protocol_name,
+        "request_timeout": timeout,
         "n_events": n_events,
         "reference_seconds": ref_seconds,
         "optimized_seconds": opt_seconds,
@@ -604,10 +615,16 @@ def run_speed_benchmark(
     engine_scenario = homogeneous_scenario(
         utility, duration=duration, record_interval=None
     )
+    timeout_scenario = dataclasses.replace(
+        engine_scenario,
+        config=dataclasses.replace(
+            engine_scenario.config,
+            request_timeout=recommended_timeout(utility, duration),
+        ),
+    )
     cases = [
-        _bench_engine_case(
-            engine_scenario, name, seed=11, repeats=repeats
-        )
+        _bench_engine_case(scenario, name, seed=11, repeats=repeats)
+        for scenario in (engine_scenario, timeout_scenario)
         for name in ("OPT", "QCR")
     ]
     streamed = _bench_streamed_case(
@@ -667,7 +684,7 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     """An aligned text summary of a :func:`run_speed_benchmark` report."""
     engine_rows = [
         [
-            case["protocol"],
+            case["name"],
             f"{case['reference_events_per_sec']:,.0f}",
             f"{case['optimized_events_per_sec']:,.0f}",
             f"{case['speedup']:.2f}x",
@@ -678,7 +695,7 @@ def render_speed_report(report: Dict[str, Any]) -> str:
     ]
     engine_table = render_table(
         [
-            "protocol",
+            "case",
             "ref ev/s",
             "opt ev/s",
             "speedup",

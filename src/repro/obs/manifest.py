@@ -97,8 +97,10 @@ class RunManifest:
     from :meth:`Stopwatch.section`); ``metrics`` is the run's embedded
     counter snapshot (see :mod:`repro.obs.metrics`); ``loop`` names the
     engine loop that ran (``"plain"``, ``"masked"`` or ``"checked"``;
-    ``None`` in manifests written before it was recorded); ``extra``
-    holds caller context (trial index, protocol name, sweep
+    ``None`` in manifests written before it was recorded);
+    ``expiry_scans`` counts the request-timeout scans the engine's
+    per-node expiry floor did not skip (``None`` in older manifests);
+    ``extra`` holds caller context (trial index, protocol name, sweep
     parameters, ...).
     """
 
@@ -111,6 +113,7 @@ class RunManifest:
     phases: Dict[str, float] = dataclasses.field(default_factory=dict)
     metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
     loop: Optional[str] = None
+    expiry_scans: Optional[int] = None
     environment: Dict[str, Any] = dataclasses.field(
         default_factory=environment_provenance
     )

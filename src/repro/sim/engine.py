@@ -155,6 +155,8 @@ class Simulation:
         "_payload_needed",
         "_chunks",
         "_outstanding_tbl",
+        "_expiry_floor",
+        "_expiry_scans",
         "_cache_tbl",
         "_is_server_tbl",
         "_mandates_tbl",
@@ -354,6 +356,10 @@ class Simulation:
         self._outstanding_tbl: List[Dict[int, List[Request]]] = [
             node.outstanding for node in self.nodes
         ]
+        # Lower bound on each node's oldest outstanding ``created_at``
+        # (see _expire_requests); scans past it are counted.
+        self._expiry_floor: List[float] = [-math.inf] * n_nodes
+        self._expiry_scans = 0
         empty: AbstractSet[int] = frozenset()
         self._cache_tbl: List[AbstractSet[int]] = [
             node.cache.live_view() if node.cache is not None else empty
@@ -826,6 +832,7 @@ class Simulation:
                 phases=dict(phases.sections),
                 metrics=self._metrics_snapshot(n_unfulfilled),
                 loop=loop,
+                expiry_scans=self._expiry_scans,
             ).to_dict()
         if self._metrics_reg is not None:
             self._publish_run_metrics(n_unfulfilled, timer)
@@ -934,6 +941,11 @@ class Simulation:
             labels=labels,
         ).inc(float(m.n_expired))
         reg.counter(
+            "repro_sim_expiry_scans_total",
+            help="request-timeout scans not skipped by the expiry floor",
+            labels=labels,
+        ).inc(float(self._expiry_scans))
+        reg.counter(
             "repro_sim_unfulfilled_total",
             help="requests still outstanding at the horizon",
             labels=labels,
@@ -975,14 +987,15 @@ class Simulation:
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire = self._expire_requests
+        floor_tbl = self._expiry_floor
         hooked = not self._hook_free_contact
         idle_hook = self._contact_hook_idle
         after_contact = self.protocol.after_contact
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timeout = self._timeout
         x_always = self._all_servers
         for kinds_b, times_b, arg_a, arg_b, px, py, req_pos, snap in (
             self._iter_chunks()
@@ -1001,9 +1014,12 @@ class Simulation:
                     b = mb[p]
                     out = outstanding_tbl[a]
                     if out and (x_always or mx[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], a, b, mx[p])
-                        elif len(out) == 1:
+                        if (
+                            timeout is not None
+                            and floor_tbl[a] < mt[p] - timeout
+                        ):
+                            expire(nodes[a], mt[p] - timeout)
+                        if len(out) == 1:
                             for item in out:
                                 break
                             if item in cache_tbl[b]:
@@ -1016,9 +1032,12 @@ class Simulation:
                                 fulfill_hits(mt[p], a, b, mx[p], out, hits)
                     out = outstanding_tbl[b]
                     if out and (x_always or my[p] >= 0):
-                        if not no_timeout:
-                            fulfill_direction(mt[p], b, a, my[p])
-                        elif len(out) == 1:
+                        if (
+                            timeout is not None
+                            and floor_tbl[b] < mt[p] - timeout
+                        ):
+                            expire(nodes[b], mt[p] - timeout)
+                        if len(out) == 1:
                             for item in out:
                                 break
                             if item in cache_tbl[a]:
@@ -1133,13 +1152,15 @@ class Simulation:
         cache_tbl = self._cache_tbl
         metrics = self.metrics
         record_fulfillment = metrics.record_fulfillment
+        nodes = self.nodes
         fulfill_hits = self._fulfill_hits
-        fulfill_direction = self._fulfill_direction
+        expire = self._expire_requests
+        floor_tbl = self._expiry_floor
         candidate_positions = self._candidate_positions
         skip_self = self._skip_self
         h0 = self._h0
         h0_finite = self._h0_finite
-        no_timeout = self._timeout is None
+        timeout = self._timeout
         x_always = self._all_servers
         active = np.zeros(len(self.nodes), dtype=bool)
         for node_id, out in enumerate(outstanding_tbl):
@@ -1170,9 +1191,12 @@ class Simulation:
                         b = mb[gp]
                         out = outstanding_tbl[a]
                         if out and (x_always or mx[gp] >= 0):
-                            if not no_timeout:
-                                fulfill_direction(mt[gp], a, b, mx[gp])
-                            elif len(out) == 1:
+                            if (
+                                timeout is not None
+                                and floor_tbl[a] < mt[gp] - timeout
+                            ):
+                                expire(nodes[a], mt[gp] - timeout)
+                            if len(out) == 1:
                                 for item in out:
                                     break
                                 if item in cache_tbl[b]:
@@ -1189,9 +1213,12 @@ class Simulation:
                                 active[a] = False
                         out = outstanding_tbl[b]
                         if out and (x_always or my[gp] >= 0):
-                            if not no_timeout:
-                                fulfill_direction(mt[gp], b, a, my[gp])
-                            elif len(out) == 1:
+                            if (
+                                timeout is not None
+                                and floor_tbl[b] < mt[gp] - timeout
+                            ):
+                                expire(nodes[b], mt[gp] - timeout)
+                            if len(out) == 1:
                                 for item in out:
                                     break
                                 if item in cache_tbl[a]:
@@ -1397,27 +1424,6 @@ class Simulation:
             "scenario"
         )
 
-    def _fulfill_direction(
-        self, t: float, requester_id: int, provider_id: int, meet_count: int
-    ) -> None:
-        """One direction of the metadata exchange: expire, query, fulfill.
-
-        *meet_count* is the requester's server-meeting count including
-        this contact; a pending request's final query counter is
-        ``meet_count - request.counter`` (its count at creation).
-        """
-        outstanding = self._outstanding_tbl[requester_id]
-        timeout = self._timeout
-        if timeout is not None:
-            self._expire_requests(self.nodes[requester_id], t - timeout)
-            if not outstanding:
-                return
-        hits = outstanding.keys() & self._cache_tbl[provider_id]
-        if hits:
-            self._fulfill_hits(
-                t, requester_id, provider_id, meet_count, outstanding, hits
-            )
-
     def _fulfill_hits(
         self,
         t: float,
@@ -1522,23 +1528,32 @@ class Simulation:
     def _expire_requests(self, node: NodeState, deadline: float) -> None:
         """Drop outstanding requests created before *deadline*.
 
-        ABANDON is emitted only past the early return, so an expiry
-        scan that finds nothing stale costs no tracer test.
+        Request lists are appended in event-time order, so a list is
+        stale iff its head is.  ``_expiry_floor[node]`` stays a lower
+        bound on the oldest head: a scan resets it to the minimum kept
+        head (*deadline* if none), fulfillments and crashes only remove
+        requests, and new requests are never older than the clock.  A
+        deadline at or below the floor returns before any scan.
         """
+        floor_tbl = self._expiry_floor
+        node_id = node.node_id
+        if floor_tbl[node_id] >= deadline:
+            return
+        self._expiry_scans += 1
+        outstanding = node.outstanding
+        floor = math.inf
+        stale_items = []
+        for item, request_list in outstanding.items():
+            head = request_list[0].created_at
+            if head < deadline:
+                stale_items.append(item)
+            elif head < floor:
+                floor = head
         abandoned_gain = self._abandoned_gain
         credit = self._credit_abandoned
-        stale_items = None
-        for item, request_list in node.outstanding.items():
-            if any(r.created_at < deadline for r in request_list):
-                if stale_items is None:
-                    stale_items = [item]
-                else:
-                    stale_items.append(item)
-        if stale_items is None:
-            return
         tracer = self.tracer
         for item in stale_items:
-            request_list = node.outstanding[item]
+            request_list = outstanding[item]
             kept = [r for r in request_list if r.created_at >= deadline]
             expired = len(request_list) - len(kept)
             if credit:
@@ -1546,19 +1561,21 @@ class Simulation:
                     self.metrics.record_abandonment(deadline, abandoned_gain)
             self.metrics.n_expired += expired
             if tracer is not None:
-                for request in request_list:
-                    if request.created_at < deadline:
-                        tracer.emit(
-                            trace_events.ABANDON,
-                            deadline,
-                            item=item,
-                            node=node.node_id,
-                            created_at=request.created_at,
-                        )
+                for request in request_list[:expired]:
+                    tracer.emit(
+                        trace_events.ABANDON,
+                        deadline,
+                        item=item,
+                        node=node_id,
+                        created_at=request.created_at,
+                    )
             if kept:
-                node.outstanding[item] = kept
+                outstanding[item] = kept
+                if kept[0].created_at < floor:
+                    floor = kept[0].created_at
             else:
-                del node.outstanding[item]
+                del outstanding[item]
+        floor_tbl[node_id] = deadline if floor == math.inf else floor
 
     # ------------------------------------------------------------------
     # fault injection

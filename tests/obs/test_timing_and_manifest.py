@@ -107,13 +107,19 @@ def test_run_manifest_round_trip():
 
 
 def test_run_manifest_records_loop_and_loads_older_manifests():
-    manifest = RunManifest(config_fingerprint="ef56", loop="masked")
+    manifest = RunManifest(
+        config_fingerprint="ef56", loop="masked", expiry_scans=7
+    )
     data = manifest.to_dict()
     assert data["loop"] == "masked"
+    assert data["expiry_scans"] == 7
     assert RunManifest.from_dict(data) == manifest
-    # Manifests written before the loop was recorded lack the field.
+    # Manifests written before these were recorded lack the fields.
     del data["loop"]
-    assert RunManifest.from_dict(data).loop is None
+    del data["expiry_scans"]
+    older = RunManifest.from_dict(data)
+    assert older.loop is None
+    assert older.expiry_scans is None
 
 
 def test_run_manifest_from_dict_ignores_unknown_keys():
