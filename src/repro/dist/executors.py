@@ -5,7 +5,8 @@ pending ``(trial, protocol)`` units to a :class:`SweepExecutor`:
 
 * :class:`SerialExecutor` — the historical in-process walk;
 * :class:`ProcessPoolExecutor` — a single-host fork pool (the
-  ``n_workers`` fast path);
+  ``n_workers`` fast path), capped at the CPU count and the pending
+  units;
 * :class:`~repro.dist.supervisor.WorkQueueExecutor` — independent
   worker processes coordinating through an on-disk
   :class:`~repro.dist.queue.WorkQueue` with leases, crash-absorbing
@@ -15,14 +16,19 @@ Whatever the executor, crash pattern, or retry count, the statistics a
 sweep reports are bit-identical: executors only decide *where and when*
 units run, never *what* they compute — per-unit seeds come from the
 same :class:`numpy.random.SeedSequence` walk, and all accounting is
-assembled by the parent in deterministic trial-major order.
+assembled by the parent in deterministic trial-major order.  Every
+executor runs its units through the same per-process unit runner
+(:class:`repro.experiments.runner._UnitRunner`), so trial realization,
+fault resolution, retries, caching and profiling behave identically.
 """
 
 from __future__ import annotations
 
 import abc
+import multiprocessing
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -36,6 +42,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
+from ..obs.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..contacts import ContactTrace
@@ -54,8 +61,8 @@ __all__ = [
 ]
 
 #: Environment variable selecting the default executor by name
-#: (``serial`` / ``process`` / ``workqueue``); unset defers to the
-#: historical ``n_workers`` behavior.
+#: (``serial`` / ``process`` / ``workqueue``); unset selects by
+#: ``n_workers``.
 ENV_VAR = "REPRO_SWEEP_EXECUTOR"
 
 #: One (trial, protocol, trace seed, request seed, sim seed) work unit.
@@ -70,7 +77,9 @@ class SweepSpec:
     list: factories, config, failure policy, cache, and the sweep's
     identity (seed walk + trial count + protocol names), which the
     work-queue backend persists so a resumed or multi-host sweep can
-    refuse mismatched state.
+    refuse mismatched state.  *trial_spills* maps a trial to the
+    parent's spilled ``.ctb`` trace (see ``run_comparison``'s
+    ``trial_spill_dir``); ``None`` when nothing was spilled.
     """
 
     trace_factory: Callable[[int], "ContactTrace"]
@@ -87,7 +96,7 @@ class SweepSpec:
     cache: Optional["SimulationRunCache"]
     base_seed: int
     n_trials: int
-    extra: Dict[str, Any] = field(default_factory=dict)
+    trial_spills: Optional[Dict[int, str]] = None
 
     def identity(self) -> Dict[str, Any]:
         """What makes two sweeps "the same sweep" for queue reuse."""
@@ -106,8 +115,9 @@ class SweepExecutor(abc.ABC):
     through ``record`` — a callback with signature
     ``record(trial, protocol, result, error, timing)`` owned by the
     parent (checkpointing, telemetry, progress).  The optional return
-    value is merged into the sweep manifest (the work-queue backend
-    reports worker attribution and lifecycle counts there).
+    value is merged into the sweep manifest (the pool reports its
+    effective worker count, the work-queue backend worker attribution
+    and lifecycle counts).
     """
 
     #: Short name recorded in sweep manifests.
@@ -136,7 +146,10 @@ class SerialExecutor(SweepExecutor):
     ) -> Optional[Dict[str, Any]]:
         from ..experiments import runner
 
-        runner._run_units_serial(list(units), spec, record)
+        unit_runner = runner._UnitRunner(spec, profile_prefix="serial")
+        for unit in units:
+            result, error, timing, _ = unit_runner.run(unit)
+            record(unit[0], unit[1], result, error, timing)
         return None
 
 
@@ -146,6 +159,12 @@ class ProcessPoolExecutor(SweepExecutor):
     This is the ``repro.dist`` executor wrapping the runner's pool path,
     not :class:`concurrent.futures.ProcessPoolExecutor` (which it uses
     underneath, with an explicitly pinned ``fork`` start method).
+
+    The pool is capped at the CPU count and the number of pending
+    units: more workers than either only add fork and IPC overhead
+    (``n_workers=4`` on one CPU measured slower than serial).  At one
+    effective worker, or without the ``fork`` start method, the units
+    run in-process instead.  The manifest extras report what ran.
     """
 
     name = "process"
@@ -165,15 +184,35 @@ class ProcessPoolExecutor(SweepExecutor):
     ) -> Optional[Dict[str, Any]]:
         from ..experiments import runner
 
-        runner._run_units_parallel(
-            list(units), spec, record, n_workers=self.n_workers
-        )
-        return None
+        cpu_count = os.cpu_count() or 1
+        workers = min(self.n_workers, cpu_count, max(len(units), 1))
+        if workers < self.n_workers:
+            get_logger("repro.experiments.sweep").info(
+                "capping sweep workers",
+                requested=self.n_workers,
+                effective=workers,
+                cpu_count=cpu_count,
+                pending_units=len(units),
+            )
+        forkable = "fork" in multiprocessing.get_all_start_methods()
+        if workers > 1 and not forkable:
+            warnings.warn(
+                "the process executor needs the 'fork' start method; "
+                "running serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            workers = 1
+        if workers <= 1:
+            SerialExecutor().execute(units, spec, record)
+            return {"executor": SerialExecutor.name, "n_workers": 1}
+        runner._run_pool(units, spec, record, n_workers=workers)
+        return {"n_workers": workers}
 
 
 #: What ``run_comparison(executor=...)`` accepts: an executor instance,
 #: a name (``"serial"`` / ``"process"`` / ``"workqueue"``), or ``None``
-#: (defer to :data:`ENV_VAR`, then to the ``n_workers`` behavior).
+#: (defer to :data:`ENV_VAR`, then select by ``n_workers``).
 ExecutorLike = Union[None, str, SweepExecutor]
 
 
@@ -181,19 +220,19 @@ def resolve_executor(
     setting: ExecutorLike,
     *,
     n_workers: Optional[int] = None,
-) -> Optional[SweepExecutor]:
-    """Resolve an ``executor=`` argument to an instance (or ``None``).
+) -> SweepExecutor:
+    """Resolve an ``executor=`` argument to an executor instance.
 
-    ``None`` consults :data:`ENV_VAR`; an unset/empty variable returns
-    ``None``, which tells :func:`~repro.experiments.run_comparison` to
-    apply its historical ``n_workers`` selection (serial below 2
-    effective workers, fork pool otherwise).
+    ``None`` consults :data:`ENV_VAR`; with the variable unset or empty
+    it selects by *n_workers*: serial for ``None``/``1``, an
+    ``n_workers`` fork pool otherwise (which caps itself at the CPU
+    count and the pending units, however it was selected).
     """
     if setting is None:
-        env = os.environ.get(ENV_VAR, "").strip()
-        if not env:
-            return None
-        setting = env
+        pooled = n_workers is not None and n_workers > 1
+        setting = os.environ.get(ENV_VAR, "").strip() or (
+            "process" if pooled else "serial"
+        )
     if isinstance(setting, SweepExecutor):
         return setting
     if not isinstance(setting, str):

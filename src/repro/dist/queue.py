@@ -145,12 +145,13 @@ class WorkQueue:
         results survive; that is the whole point.
 
         *handoff*, when given, is persisted in the manifest for workers
-        joining from any process: the sweep-amortization record naming
-        the parent's spilled ``.ctb`` trial traces (``"trial_spills"``,
-        unit-trial -> path) and whether per-trial event-stream sharing
-        is on (``"share_event_streams"``).  Purely an optimization
-        channel — a worker that ignores it regenerates inputs from the
-        unit seeds and produces bit-identical results.
+        joining from any process: the record naming the parent's
+        spilled ``.ctb`` trial traces (``"trial_spills"``, unit-trial ->
+        path).  Purely an optimization channel — a worker that ignores
+        it regenerates inputs from the unit seeds and produces
+        bit-identical results.  Workers read nothing else from it, so
+        keys written by older versions (``"share_event_streams"``) are
+        ignored.
         """
         if max_claims < 1:
             raise ConfigurationError(

@@ -3,9 +3,10 @@
 Three roles cooperate around one :class:`~repro.dist.queue.WorkQueue`:
 
 * :class:`QueueWorker` — claims units via lease files, executes them
-  with the exact same :func:`repro.experiments.runner._execute_run`
-  policy as every other backend, renews its lease from a heartbeat
-  thread, and publishes results (or failure records) durably;
+  through the same per-process unit runner as every other backend
+  (:class:`repro.experiments.runner._UnitRunner`), renews its lease
+  from a heartbeat thread, and publishes results (or failure records)
+  durably;
 * :class:`Supervisor` — the one *requeue authority*: reaps stale
   leases (crashed or hung workers), bumps requeue counters, quarantines
   poison units once their claim budget is spent, respawns dead workers,
@@ -39,7 +40,6 @@ from ..obs import events as ev
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from ..obs.manifest import worker_provenance
-from ..obs.timing import Stopwatch
 from .clock import Clock, SystemClock
 from .executors import SweepExecutor, SweepSpec, WorkUnit, make_unit_records
 from .leases import Lease
@@ -114,7 +114,16 @@ class QueueWorker:
             if poll_interval is not None
             else _default_poll(queue.ttl)
         )
-        self._inputs_by_trial: Dict[int, Any] = {}
+        # The queue manifest's handoff names the parent's spilled .ctb
+        # trial traces (JSON keys are strings); workers joining from any
+        # host memory-map them instead of regenerating, bit-identically.
+        from ..experiments.runner import _UnitRunner
+
+        handoff = queue.manifest.get("handoff") or {}
+        spills = handoff.get("trial_spills") or {}
+        self._runner = _UnitRunner(
+            spec, {int(trial): path for trial, path in spills.items()}
+        )
         self._logger = get_logger("repro.dist.worker")
         self.units_done = 0
         self.units_failed = 0
@@ -201,84 +210,22 @@ class QueueWorker:
             labels={"worker": self.worker_id, "outcome": outcome},
         ).inc()
 
-    def _trial_inputs(
-        self, record: UnitRecord, trial_faults: Any
-    ) -> Any:
-        """Realize (once per trial per process) the shared randomness.
-
-        The queue manifest's ``handoff`` record (written by the
-        parent's sweep when trial spilling is on) redirects the trace
-        to the parent's memory-mapped ``.ctb`` copy with its
-        travelling fingerprint — workers joining from any host skip
-        both the regeneration and the re-hash, bit-identically.
-        """
-        from ..experiments import runner
-
-        inputs = self._inputs_by_trial.get(record.trial)
-        if inputs is not None:
-            return inputs, 0.0
-        handoff = self.queue.manifest.get("handoff") or {}
-        spills = handoff.get("trial_spills") or {}
-        timer = Stopwatch()
-        inputs = runner._build_trial_inputs(
-            self.spec.trace_factory,
-            self.spec.demand,
-            self.spec.n_clients,
-            record.seeds,
-            faults=trial_faults,
-            spill_path=spills.get(str(record.trial)),
-            share_event_stream=bool(
-                handoff.get("share_event_streams", True)
-            ),
-        )
-        timer.stop()
-        # Workers live across many units; keep only the latest trial's
-        # inputs (units of one trial cluster together in scan order).
-        self._inputs_by_trial = {record.trial: inputs}
-        return inputs, timer.wall
-
     def _execute_unit(
         self, record: UnitRecord, lease: Lease, claim_no: int
     ) -> None:
-        from ..experiments import runner
-
-        spec = self.spec
-        trial_faults = (
-            spec.faults(record.trial)
-            if callable(spec.faults)
-            else spec.faults
-        )
-        inputs, setup_wall = self._trial_inputs(record, trial_faults)
-        # Failures must never unwind a worker: under on_error="raise"
-        # the worker records the failure and the supervisor raises.
-        worker_on_error = (
-            "skip" if spec.on_error == "raise" else spec.on_error
-        )
-        profiler = runner._process_profiler(spec.profile_dir)
         heartbeat = _Heartbeat(self.queue, lease, self.queue.ttl / 3.0)
         heartbeat.start()
-        if profiler is not None:
-            profiler.enable()
+        # Failures must never unwind a worker: under on_error="raise"
+        # the worker records the failure and the supervisor raises.
+        on_error = self.spec.on_error
         try:
-            result, error, timing, cache_key = runner._execute_run(
-                spec.protocols[record.protocol],
-                inputs,
-                spec.config,
-                trial_faults,
-                attempts_per_run=spec.attempts_per_run,
-                on_error=worker_on_error,
-                retry_backoff=spec.retry_backoff,
-                max_backoff=spec.max_backoff,
-                cache=spec.cache,
+            result, error, timing, cache_key = self._runner.run(
+                (record.trial, record.protocol, *record.seeds),
+                on_error="skip" if on_error == "raise" else on_error,
             )
         finally:
-            if profiler is not None:
-                profiler.disable()
-                assert spec.profile_dir is not None
-                runner._dump_profile(profiler, spec.profile_dir, "worker")
             heartbeat.stop()
             self.lease_renewals += heartbeat.renewals
-        timing["setup_wall_s"] = setup_wall
         if result is not None:
             self.units_done += 1
             self._count_unit("done")
@@ -694,21 +641,17 @@ class WorkQueueExecutor(SweepExecutor):
         records: List[UnitRecord] = make_unit_records(
             units, list(spec.protocols)
         )
-        # The sweep-amortization handoff crosses the executor seam via
-        # the durable manifest (JSON keys are strings), so external
-        # `repro sweep worker` processes see it too.
+        # Spilled trial traces cross the executor seam via the durable
+        # manifest (JSON keys are strings), so external `repro sweep
+        # worker` processes see them too.
         handoff: Optional[Dict[str, Any]] = None
-        if spec.extra:
+        if spec.trial_spills:
             handoff = {
-                "share_event_streams": bool(
-                    spec.extra.get("share_event_streams", True)
-                ),
-            }
-            spills = spec.extra.get("trial_spills")
-            if spills:
-                handoff["trial_spills"] = {
-                    str(trial): path for trial, path in spills.items()
+                "trial_spills": {
+                    str(trial): path
+                    for trial, path in spec.trial_spills.items()
                 }
+            }
         queue = WorkQueue.create(
             root,
             records,

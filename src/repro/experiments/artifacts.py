@@ -81,7 +81,6 @@ class TrialArtifacts:
         "requests",
         "sim_seed",
         "faults",
-        "share_event_stream",
         "_trace_fp",
         "_requests_fp",
         "_faults_fp",
@@ -96,13 +95,11 @@ class TrialArtifacts:
         *,
         faults: Optional[FaultSchedule] = None,
         trace_fingerprint: Optional[str] = None,
-        share_event_stream: bool = True,
     ) -> None:
         self.trace = trace
         self.requests = requests
         self.sim_seed = sim_seed
         self.faults = faults
-        self.share_event_stream = share_event_stream
         self._trace_fp = trace_fingerprint
         self._requests_fp: Optional[str] = None
         self._faults_fp: Optional[str] = None
@@ -130,18 +127,16 @@ class TrialArtifacts:
         """The trial's merged event stream, built lazily at most once.
 
         Returns ``None`` — and the caller falls back to the engine's
-        own merge — when stream sharing is disabled or the trace is
-        memory-mapped: a memmapped trace selects the engine's streamed
-        mode precisely so the merge never materializes, and an eager
-        prebuilt stream would defeat that memory bound.
+        own merge — when the trace is memory-mapped: a memmapped trace
+        selects the engine's streamed mode precisely so the merge never
+        materializes, and an eager prebuilt stream would defeat that
+        memory bound.
 
         The memo is keyed implicitly by the config fingerprint: a
         second call with an equivalent config reuses the stream, a
         different config rebuilds it (sweeps use one config, so this
         never triggers there).
         """
-        if not self.share_event_stream:
-            return None
         if memmap_backed(self.trace.times):
             return None
         stream = self._stream
@@ -156,8 +151,7 @@ class TrialArtifacts:
         return stream
 
     def drop_event_stream(self) -> None:
-        """Release the memoized stream (pool workers bound memory with
-        this when they move on to another trial)."""
+        """Release the memoized stream; the next call rebuilds it."""
         self._stream = None
 
 

@@ -23,8 +23,8 @@ so the perf trajectory is tracked across PRs:
   single-core container the parallel run cannot beat serial — the
   recorded ``cpu_count`` says how to read the number.
 * **sweep amortization** — the trial-scoped sharing layer: a
-  3-protocol sweep with the merged event stream built once per trial
-  versus once per protocol (plain and faulted), a traced run on a
+  3-protocol sweep's run loop with the merged event stream built once
+  per trial versus once per protocol (plain and faulted), a traced run on a
   prebuilt stream, the memoized-fingerprint cache probe, and the
   spilled-trace worker handoff.  Every sub-case asserts exact result
   equality; CI fails the quick run if merge-once is not faster or any
@@ -66,11 +66,11 @@ from ..sim.engine import Simulation, simulate
 from ..sim.events import build_event_stream
 from ..simcache import fingerprint_trace, run_key
 from ..utility import StepUtility
-from .artifacts import load_spilled_trace, spill_trial_trace
+from .artifacts import TrialArtifacts, load_spilled_trace, spill_trial_trace
 from .checkpoint import result_to_dict
 from .figures import recommended_timeout
 from .reporting import render_table
-from .runner import run_comparison
+from .runner import _derive_trial_seeds, run_comparison
 from .scenarios import (
     Scenario,
     homogeneous_scenario,
@@ -357,10 +357,14 @@ def _bench_sweep_amortization(
 
     Four sub-cases, every one gated on exact result equality:
 
-    * **sweep** — a 3-protocol sweep with event-stream sharing off
-      (merge + payload pass per protocol, the pre-amortization
-      behaviour) versus on (one merge per trial, reused read-only);
-      interleaved best-of-*repeats* like the engine timer.
+    * **sweep** — a 3-protocol sweep's per-(trial, protocol)
+      ``simulate()`` loop, run twice over the same realized trials: with
+      ``prebuilt_events=None`` (merge + payload pass per protocol, the
+      pre-amortization behaviour) and with the trial's
+      :meth:`TrialArtifacts.event_stream` (one merge per trial, reused
+      read-only — what every sweep executor does).  The two sides
+      differ in nothing else; interleaved best-of-*repeats* like the
+      engine timer.
     * **faulted_sweep** — the same comparison with node-churn faults,
       where payload columns are forbidden and the shared stream carries
       the fault events.
@@ -374,37 +378,7 @@ def _bench_sweep_amortization(
       from its seed.
     """
     protocols = standard_protocols(scenario, include=("OPT", "SQRT", "UNI"))
-    kwargs = dict(
-        trace_factory=scenario.trace_factory,
-        demand=scenario.demand,
-        config=scenario.config,
-        protocols=protocols,
-        n_trials=n_trials,
-        base_seed=base_seed,
-        baseline="OPT",
-    )
-    per_protocol_seconds = float("inf")
-    merge_once_seconds = float("inf")
-    per_protocol = merged = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        per_protocol = run_comparison(**kwargs, share_event_streams=False)
-        per_protocol_seconds = min(
-            per_protocol_seconds, time.perf_counter() - start
-        )
-        start = time.perf_counter()
-        merged = run_comparison(**kwargs, share_event_streams=True)
-        merge_once_seconds = min(
-            merge_once_seconds, time.perf_counter() - start
-        )
-    sweep_case = {
-        "n_trials": n_trials,
-        "n_protocols": len(protocols),
-        "merge_per_protocol_seconds": per_protocol_seconds,
-        "merge_once_seconds": merge_once_seconds,
-        "speedup": per_protocol_seconds / merge_once_seconds,
-        "bit_identical": _comparisons_identical(per_protocol, merged),
-    }
+    config = scenario.config
 
     # One realized trial for the faulted/traced/micro cases.
     trace = scenario.trace_factory(base_seed + 100)
@@ -419,33 +393,76 @@ def _bench_sweep_amortization(
         seed=base_seed + 102,
     )
 
-    fault_kwargs = dict(kwargs)
-    fault_kwargs["faults"] = faults
-    fault_plain_seconds = float("inf")
-    fault_shared_seconds = float("inf")
-    fault_plain = fault_shared = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fault_plain = run_comparison(
-            **fault_kwargs, share_event_streams=False
-        )
-        fault_plain_seconds = min(
-            fault_plain_seconds, time.perf_counter() - start
-        )
-        start = time.perf_counter()
-        fault_shared = run_comparison(
-            **fault_kwargs, share_event_streams=True
-        )
-        fault_shared_seconds = min(
-            fault_shared_seconds, time.perf_counter() - start
-        )
-    faulted_case = {
+    def realize(trial_faults):
+        # The sweep's trials, realized outside the timers.
+        trials = []
+        for trace_seed, request_seed, sim_seed in _derive_trial_seeds(
+            base_seed, n_trials
+        ):
+            trial_trace = scenario.trace_factory(trace_seed)
+            trial_requests = generate_requests(
+                scenario.demand,
+                trial_trace.n_nodes,
+                trial_trace.duration,
+                seed=request_seed,
+            )
+            trials.append(
+                TrialArtifacts(
+                    trial_trace, trial_requests, sim_seed, faults=trial_faults
+                )
+            )
+        return trials
+
+    def run_loop(trials, merge_once):
+        results = []
+        for inputs in trials:
+            inputs.drop_event_stream()
+            for factory in protocols.values():
+                results.append(
+                    simulate(
+                        inputs.trace,
+                        inputs.requests,
+                        config,
+                        factory(inputs.trace, inputs.requests),
+                        seed=inputs.sim_seed,
+                        faults=inputs.faults,
+                        prebuilt_events=(
+                            inputs.event_stream(config) if merge_once else None
+                        ),
+                    )
+                )
+        return results
+
+    def compare(trials):
+        per_protocol_seconds = float("inf")
+        merge_once_seconds = float("inf")
+        per_protocol: list = []
+        merged: list = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            per_protocol = run_loop(trials, merge_once=False)
+            per_protocol_seconds = min(
+                per_protocol_seconds, time.perf_counter() - start
+            )
+            start = time.perf_counter()
+            merged = run_loop(trials, merge_once=True)
+            merge_once_seconds = min(
+                merge_once_seconds, time.perf_counter() - start
+            )
+        return {
+            "merge_per_protocol_seconds": per_protocol_seconds,
+            "merge_once_seconds": merge_once_seconds,
+            "speedup": per_protocol_seconds / merge_once_seconds,
+            "bit_identical": len(per_protocol) == len(merged)
+            and all(map(_results_identical, per_protocol, merged)),
+        }
+
+    sweep_case = {
         "n_trials": n_trials,
-        "merge_per_protocol_seconds": fault_plain_seconds,
-        "merge_once_seconds": fault_shared_seconds,
-        "speedup": fault_plain_seconds / fault_shared_seconds,
-        "bit_identical": _comparisons_identical(fault_plain, fault_shared),
+        "n_protocols": len(protocols),
+        **compare(realize(None)),
     }
+    faulted_case = {"n_trials": n_trials, **compare(realize(faults))}
 
     # Traced run: prebuilt stream vs. inline merge, faults + tracing on.
     stream = build_event_stream(trace, requests, scenario.config, faults)

@@ -24,9 +24,10 @@ behavior):
   run to JSON (atomically, see :mod:`repro.experiments.checkpoint`), so
   an interrupted sweep resumes instead of restarting;
 * *parallel execution* — ``n_workers`` fans the ``(trial, protocol)``
-  work units out over a process pool.  Per-run seeds are derived from
-  the same :class:`numpy.random.SeedSequence` walk as the serial path,
-  so parallel results are **bit-identical** to serial ones; workers
+  work units out over a process pool, capped at the CPU count and the
+  pending units.  Per-run seeds are derived from the same
+  :class:`numpy.random.SeedSequence` walk as the serial path, so
+  parallel results are **bit-identical** to serial ones; workers
   return completed runs and the parent process owns the checkpoint
   file, so checkpoint/resume and the ``on_error`` policies compose
   unchanged;
@@ -41,7 +42,12 @@ behavior):
   walk, the fork pool, or the fault-tolerant work-queue backend whose
   independent workers coordinate through leases on a (possibly shared)
   filesystem and survive SIGKILL at any instruction.  All backends
-  produce bit-identical statistics.
+  produce bit-identical statistics;
+* *one unit runner* — every backend runs its units through one
+  :class:`_UnitRunner` per process, which realizes each trial once
+  (trace, requests, faults), keeps only the current trial, and shares
+  the trial's fingerprints and merged event stream across its
+  protocols.  Executors differ only in where units run.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ import dataclasses
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
@@ -379,7 +384,6 @@ def _build_trial_inputs(
     *,
     faults: Optional[FaultSchedule] = None,
     spill_path: Optional[str] = None,
-    share_event_stream: bool = True,
 ) -> TrialArtifacts:
     """Realize one trial's shared trace and request schedule.
 
@@ -387,8 +391,9 @@ def _build_trial_inputs(
     ``.ctb`` spill instead of regenerated from the trial seed — the
     zero-copy worker handoff — and the fingerprint memo is pre-seeded
     from the spill header when the parent recorded one.  *faults* is
-    the trial's already-resolved fault schedule; it rides along so the
-    shared event stream is built from the very objects the runs use.
+    the trial's already-resolved fault schedule; every run of the trial
+    uses that very object, so the shared event stream built from it is
+    valid for all of them.
     """
     trace_seed, request_seed, sim_seed = seeds
     trace_fingerprint: Optional[str] = None
@@ -408,29 +413,13 @@ def _build_trial_inputs(
         sim_seed,
         faults=faults,
         trace_fingerprint=trace_fingerprint,
-        share_event_stream=share_event_stream,
     )
-
-
-def _memo_fingerprint(inputs: object, method: str) -> Optional[str]:
-    """A memoized fingerprint off *inputs*, or ``None`` to hash inline.
-
-    ``None`` (plain :class:`TrialInputs`, external callers) makes
-    :func:`~repro.simcache.run_key` fall back to the full hash pass —
-    the memo is an amortization, never a requirement.
-    """
-    getter = getattr(inputs, method, None)
-    if callable(getter):
-        value = getter()
-        return value if isinstance(value, str) else None
-    return None
 
 
 def _execute_run(
     factory: ProtocolFactory,
     inputs: TrialArtifacts,
     config: SimulationConfig,
-    trial_faults: Optional[FaultSchedule],
     *,
     attempts_per_run: int,
     on_error: str,
@@ -447,26 +436,24 @@ def _execute_run(
 
     Returns ``(result, None, timing, run_key)`` on success and
     ``(None, error string, timing, run_key)`` after all attempts failed;
-    with ``on_error="raise"`` the first failure propagates (identical in
-    workers and in the serial loop).  *timing* reports the simulate
-    stage's wall/CPU seconds (backoff sleeps excluded) and the number
-    of attempts actually made; with a *cache* it also carries a
-    ``"cache"`` marker (hit / miss / uncacheable).  *run_key* is the
-    run's content-address when a cache is in use and the inputs were
-    fingerprintable (``None`` otherwise) — the distributed backend
-    records it with every published result.
+    with ``on_error="raise"`` the first failure propagates.  *timing*
+    reports the simulate stage's wall/CPU seconds (backoff sleeps
+    excluded) and the number of attempts actually made; with a *cache*
+    it also carries a ``"cache"`` marker (hit / miss / uncacheable).
+    *run_key* is the run's content-address when a cache is in use and
+    the inputs were fingerprintable (``None`` otherwise) — the
+    distributed backend records it with every published result.
 
     With a run cache, a content-key hit returns the stored result with
     zero attempts — no simulation happens; a completed miss is stored
     for next time.  Runs whose inputs cannot be fingerprinted execute
     uncached.
 
-    Two trial-scoped amortizations apply when *inputs* is a
-    :class:`~repro.experiments.artifacts.TrialArtifacts` (the runner
-    always passes one): the cache key reuses the trial's memoized
-    content fingerprints instead of re-hashing the arrays per
-    protocol, and the simulation reuses the trial's prebuilt event
-    stream instead of re-merging — both substitutions are
+    Two trial-scoped amortizations apply: the cache key reuses the
+    trial's memoized content fingerprints instead of re-hashing the
+    arrays per protocol, and the simulation reuses the trial's prebuilt
+    event stream (built from ``inputs.faults``, the schedule every run
+    of the trial uses) instead of re-merging — both substitutions are
     byte-identical.  The protocol instance built to fingerprint the
     cache key is reused for the first simulation attempt rather than
     discarded and rebuilt (it is factory-fresh either way; retries
@@ -492,18 +479,10 @@ def _execute_run(
                     inputs.sim_seed,
                     inputs.trace,
                     inputs.requests,
-                    trial_faults,
-                    trace_fingerprint=_memo_fingerprint(
-                        inputs, "trace_fingerprint"
-                    ),
-                    requests_fingerprint=_memo_fingerprint(
-                        inputs, "requests_fingerprint"
-                    ),
-                    faults_fingerprint=(
-                        _memo_fingerprint(inputs, "faults_fingerprint")
-                        if getattr(inputs, "faults", None) is trial_faults
-                        else None
-                    ),
+                    inputs.faults,
+                    trace_fingerprint=inputs.trace_fingerprint(),
+                    requests_fingerprint=inputs.requests_fingerprint(),
+                    faults_fingerprint=inputs.faults_fingerprint(),
                 )
                 cache_marker = _CACHE_MISS
             except UncacheableRunError as error:
@@ -526,14 +505,6 @@ def _execute_run(
     wall_s = 0.0
     cpu_s = 0.0
     attempts_made = 0
-    # The trial's shared premerged stream, when inputs carry one built
-    # from this very fault schedule (None otherwise — the engine then
-    # merges inline, exactly as before).
-    stream_getter = getattr(inputs, "event_stream", None)
-    use_stream = (
-        callable(stream_getter)
-        and getattr(inputs, "faults", None) is trial_faults
-    )
     for attempt in range(attempts_per_run):
         if attempt:
             delay = min(retry_backoff * (2.0 ** (attempt - 1)), max_backoff)
@@ -550,15 +521,14 @@ def _execute_run(
                 protocol = probe
             else:
                 protocol = factory(inputs.trace, inputs.requests)
-            prebuilt = stream_getter(config) if use_stream else None
             result = simulate(
                 inputs.trace,
                 inputs.requests,
                 config,
                 protocol,
                 seed=inputs.sim_seed,
-                faults=trial_faults,
-                prebuilt_events=prebuilt,
+                faults=inputs.faults,
+                prebuilt_events=inputs.event_stream(config),
             )
             timer.stop()
             wall_s += timer.wall
@@ -615,12 +585,6 @@ def _count_cache_marker(
         counts["uncacheable"] += 1
 
 
-#: Fork-inherited state for pooled workers.  Set by ``run_comparison``
-#: immediately before the pool is created and cleared afterwards; the
-#: forked children inherit it by memory copy, so the trace factories and
-#: protocol factories (typically closures) never need to be pickled.
-_WORKER_CONTEXT: Optional[Dict[str, Any]] = None
-
 #: One (trial, protocol, trace seed, request seed, sim seed) work unit.
 _WorkUnit = Tuple[int, str, int, int, int]
 
@@ -641,14 +605,109 @@ def _process_profiler(
     return _PROCESS_PROFILER
 
 
-def _dump_profile(
-    profiler: cProfile.Profile, profile_dir: str, prefix: str
-) -> None:
-    """Write the cumulative stats, overwriting after every unit so a
-    crashed worker still leaves its latest snapshot behind."""
-    profiler.dump_stats(
-        os.path.join(profile_dir, f"{prefix}-{os.getpid()}.pstats")
-    )
+class _UnitRunner:
+    """One process's recipe for running work units, for every executor.
+
+    The serial walk, each fork-pool worker, and each work-queue worker
+    own one runner and hand it units in trial-major order.  The runner
+    keeps only the current trial's :class:`TrialArtifacts`: when a unit
+    of a new trial arrives it resolves the trial's faults (a per-trial
+    factory is called once per process and trial), realizes the trace
+    and requests — memory-mapping the trial's entry in *spills* when
+    the parent spilled one — and every later protocol of the trial
+    reuses the trial's fingerprints and merged event stream.  A unit
+    of an older trial would simply be realized again: correct, only
+    slower.
+
+    With ``spec.profile_dir`` each unit's run is accumulated into the
+    process profile, dumped as ``<profile_prefix>-<pid>.pstats`` after
+    every unit so a crashed worker still leaves its latest snapshot.
+    """
+
+    def __init__(
+        self,
+        spec: "SweepSpec",
+        spills: Optional[Dict[int, str]] = None,
+        *,
+        profile_prefix: str = "worker",
+    ) -> None:
+        self.spec = spec
+        self.spills = spills or {}
+        self.profile_prefix = profile_prefix
+        self._trial = -1
+        self._inputs: Optional[TrialArtifacts] = None
+
+    def run(
+        self, unit: _WorkUnit, *, on_error: Optional[str] = None
+    ) -> Tuple[
+        Optional[SimulationResult],
+        Optional[str],
+        Dict[str, float],
+        Optional[str],
+    ]:
+        """Run one unit; ``(result, error, timing, run_key)``.
+
+        *on_error* overrides the spec's policy (queue workers must never
+        unwind, so they run ``"raise"`` sweeps as ``"skip"``).  *timing*
+        carries ``setup_wall_s``: the trial realization this unit paid
+        for, 0 when it reused the current trial's artifacts.
+        """
+        spec = self.spec
+        trial, name = unit[0], unit[1]
+        inputs = self._inputs
+        setup_wall = 0.0
+        if inputs is None or trial != self._trial:
+            # Drop the previous trial before realizing this one, so at
+            # most one trial's artifacts are alive per process.
+            inputs = self._inputs = None
+            setup_timer = Stopwatch()
+            faults = (
+                spec.faults(trial) if callable(spec.faults) else spec.faults
+            )
+            inputs = self._inputs = _build_trial_inputs(
+                spec.trace_factory,
+                spec.demand,
+                spec.n_clients,
+                (unit[2], unit[3], unit[4]),
+                faults=faults,
+                spill_path=self.spills.get(trial),
+            )
+            setup_timer.stop()
+            setup_wall = setup_timer.wall
+            self._trial = trial
+        profiler = _process_profiler(spec.profile_dir)
+        if profiler is not None:
+            profiler.enable()
+        try:
+            result, error, timing, key = _execute_run(
+                spec.protocols[name],
+                inputs,
+                spec.config,
+                attempts_per_run=spec.attempts_per_run,
+                on_error=on_error or spec.on_error,
+                retry_backoff=spec.retry_backoff,
+                max_backoff=spec.max_backoff,
+                cache=spec.cache,
+            )
+        finally:
+            if profiler is not None:
+                profiler.disable()
+                assert spec.profile_dir is not None
+                profiler.dump_stats(
+                    os.path.join(
+                        spec.profile_dir,
+                        f"{self.profile_prefix}-{os.getpid()}.pstats",
+                    )
+                )
+        timing["setup_wall_s"] = setup_wall
+        return result, error, timing, key
+
+
+#: The pool workers' unit runner.  Set by :func:`_run_pool` immediately
+#: before the pool forks and cleared afterwards; each child inherits
+#: its own copy by fork, so the trace and protocol factories (typically
+#: closures) never need to be pickled.
+_POOL_RUNNER: Optional[_UnitRunner] = None
 
 
 def _pool_run(
@@ -657,64 +716,14 @@ def _pool_run(
     int, str, Optional[SimulationResult], Optional[str], Dict[str, float]
 ]:
     """Execute one work unit inside a pooled worker process."""
-    context = _WORKER_CONTEXT
-    if context is None:  # pragma: no cover - defensive
+    unit_runner = _POOL_RUNNER
+    if unit_runner is None:  # pragma: no cover - defensive
         raise SimulationError(
-            "worker context missing; the pool must be created with the "
-            "fork start method by run_comparison"
+            "pool runner missing; the pool must be created with the "
+            "fork start method by _run_pool"
         )
-    trial, name, trace_seed, request_seed, sim_seed = unit
-    inputs_by_trial: Dict[int, TrialArtifacts] = context["inputs_by_trial"]
-    faults = context["faults"]
-    trial_faults = faults(trial) if callable(faults) else faults
-    setup_wall = 0.0
-    inputs = inputs_by_trial.get(trial)
-    if inputs is None:
-        # First unit of this trial in this worker: realize the shared
-        # randomness once and reuse it for the trial's other protocols.
-        # A spilled trial memory-maps the parent's .ctb copy (with its
-        # travelling fingerprint) instead of regenerating the trace.
-        setup_timer = Stopwatch()
-        spills: Dict[int, str] = context.get("trial_spills") or {}
-        inputs = _build_trial_inputs(
-            context["trace_factory"],
-            context["demand"],
-            context["n_clients"],
-            (trace_seed, request_seed, sim_seed),
-            faults=trial_faults,
-            spill_path=spills.get(trial),
-            share_event_stream=context.get("share_event_streams", True),
-        )
-        setup_timer.stop()
-        setup_wall = setup_timer.wall
-        # Keep every trial's (possibly memmapped) inputs for reuse but
-        # only the newest trial's materialized event stream — the
-        # stream is the big per-trial allocation.
-        for other in inputs_by_trial.values():
-            other.drop_event_stream()
-        inputs_by_trial[trial] = inputs
-    profile_dir = context["profile_dir"]
-    profiler = _process_profiler(profile_dir)
-    if profiler is not None:
-        profiler.enable()
-    try:
-        result, error, timing, _ = _execute_run(
-            context["protocols"][name],
-            inputs,
-            context["config"],
-            trial_faults,
-            attempts_per_run=context["attempts_per_run"],
-            on_error=context["on_error"],
-            retry_backoff=context["retry_backoff"],
-            max_backoff=context["max_backoff"],
-            cache=context["cache"],
-        )
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            _dump_profile(profiler, profile_dir, "worker")
-    timing["setup_wall_s"] = setup_wall
-    return trial, name, result, error, timing
+    result, error, timing, _ = unit_runner.run(unit)
+    return unit[0], unit[1], result, error, timing
 
 
 class _SweepAccounting:
@@ -790,104 +799,30 @@ class _SweepAccounting:
             self.checkpoint.record(trial, name, result)
 
 
-def _run_units_serial(
-    units: List[_WorkUnit],
-    spec: "SweepSpec",
-    record: Callable[..., None],
-) -> None:
-    """The historical in-order walk, reported through *record*.
-
-    Trial inputs are realized once per trial and reused across the
-    trial's protocols (units arrive trial-major) — including the
-    trial's memoized fingerprints and premerged event stream, so every
-    protocol after the first skips the hash and merge passes too.
-    """
-    inputs: Optional[TrialArtifacts] = None
-    current_trial = -1
-    share_streams = bool(spec.extra.get("share_event_streams", True))
-    profiler = _process_profiler(spec.profile_dir)
-    for unit in units:
-        trial, name = unit[0], unit[1]
-        setup_wall = 0.0
-        trial_faults = (
-            spec.faults(trial) if callable(spec.faults) else spec.faults
-        )
-        if trial != current_trial:
-            setup_timer = Stopwatch()
-            inputs = _build_trial_inputs(
-                spec.trace_factory,
-                spec.demand,
-                spec.n_clients,
-                unit[2:],
-                faults=trial_faults,
-                share_event_stream=share_streams,
-            )
-            setup_timer.stop()
-            setup_wall = setup_timer.wall
-            current_trial = trial
-        assert inputs is not None
-        if profiler is not None:
-            profiler.enable()
-        try:
-            result, error, timing, _ = _execute_run(
-                spec.protocols[name],
-                inputs,
-                spec.config,
-                trial_faults,
-                attempts_per_run=spec.attempts_per_run,
-                on_error=spec.on_error,
-                retry_backoff=spec.retry_backoff,
-                max_backoff=spec.max_backoff,
-                cache=spec.cache,
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                assert spec.profile_dir is not None
-                _dump_profile(profiler, spec.profile_dir, "serial")
-        timing["setup_wall_s"] = setup_wall
-        record(trial, name, result, error, timing)
-
-
-def _run_units_parallel(
-    units: List[_WorkUnit],
+def _run_pool(
+    units: Sequence[_WorkUnit],
     spec: "SweepSpec",
     record: Callable[..., None],
     *,
     n_workers: int,
 ) -> None:
-    """Fan *units* out over a fork pool; the parent owns the accounting.
+    """Fan *units* out over an *n_workers* fork pool.
 
-    Workers inherit the factories through fork (no pickling of
-    closures); only the small work-unit tuples and the completed
+    Workers inherit one :class:`_UnitRunner` through fork; only the
+    small work-unit tuples and the completed
     :class:`~repro.sim.metrics.SimulationResult` objects cross the
-    process boundary.  Completed runs are reported to *record* by the
-    parent as they arrive, so checkpointing and the ``on_error``
-    policies compose exactly like the serial walk.
+    process boundary.  Units are submitted trial-major and the pool
+    dequeues them FIFO, so no worker revisits an older trial.
+    Completed runs are reported to *record* by the parent as they
+    arrive, so checkpointing and the ``on_error`` policies compose
+    exactly like the serial walk.
     """
-    global _WORKER_CONTEXT
-    context = {
-        "trace_factory": spec.trace_factory,
-        "demand": spec.demand,
-        "config": spec.config,
-        "protocols": spec.protocols,
-        "n_clients": spec.n_clients,
-        "faults": spec.faults,
-        "on_error": spec.on_error,
-        "attempts_per_run": spec.attempts_per_run,
-        "retry_backoff": spec.retry_backoff,
-        "max_backoff": spec.max_backoff,
-        "profile_dir": spec.profile_dir,
-        "cache": spec.cache,
-        "trial_spills": spec.extra.get("trial_spills"),
-        "share_event_streams": spec.extra.get("share_event_streams", True),
-        "inputs_by_trial": {},
-    }
+    global _POOL_RUNNER
     mp_context = multiprocessing.get_context("fork")
-    _WORKER_CONTEXT = context
+    _POOL_RUNNER = _UnitRunner(spec, spec.trial_spills)
     try:
         with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(units)), mp_context=mp_context
+            max_workers=n_workers, mp_context=mp_context
         ) as pool:
             futures = {pool.submit(_pool_run, unit): unit for unit in units}
             remaining = set(futures)
@@ -906,7 +841,7 @@ def _run_units_parallel(
                         raise
                     record(trial, name, result, error, timing)
     finally:
-        _WORKER_CONTEXT = None
+        _POOL_RUNNER = None
 
 
 def run_comparison(
@@ -930,7 +865,6 @@ def run_comparison(
     profile_dir: Optional[PathLike] = None,
     run_cache: RunCacheLike = None,
     executor: "ExecutorLike" = None,
-    share_event_streams: bool = True,
     trial_spill_dir: Optional[PathLike] = None,
 ) -> ComparisonResult:
     """Run every protocol on *n_trials* shared trace/request realizations.
@@ -964,12 +898,14 @@ def run_comparison(
     n_workers:
         ``None``/``1`` runs serially (the historical behavior).  With
         ``k > 1`` the pending ``(trial, protocol)`` runs execute on a
-        ``k``-process pool (fork start method); per-run seeds come from
-        the identical seed walk, so the resulting statistics are
-        bit-identical to a serial sweep.  Requires a platform with the
-        ``fork`` start method (falls back to serial with a warning
-        otherwise).  With ``on_error="raise"`` the first observed worker
-        failure propagates, which — unlike the serial path — is not
+        fork pool of up to ``k`` processes, capped at the CPU count and
+        the number of pending runs (one effective worker runs
+        in-process); per-run seeds come from the identical seed walk,
+        so the resulting statistics are bit-identical to a serial
+        sweep.  Requires a platform with the ``fork`` start method
+        (falls back to serial with a warning otherwise).  With
+        ``on_error="raise"`` the first observed worker failure
+        propagates, which — unlike the serial path — is not
         necessarily the earliest failing trial.
     progress:
         ``True`` logs one structured line per completed run (and a
@@ -994,10 +930,12 @@ def run_comparison(
     executor:
         Which backend runs the pending units (see :mod:`repro.dist`).
         ``None`` (default) consults the ``REPRO_SWEEP_EXECUTOR``
-        environment variable, then falls back to the historical
-        ``n_workers`` selection.  ``"serial"``, ``"process"``, or
-        ``"workqueue"`` pick a backend by name (``n_workers`` sizes it);
-        a :class:`~repro.dist.SweepExecutor` instance is used as-is.
+        environment variable, then falls back to the ``n_workers``
+        selection (serial for ``None``/``1``, the fork pool otherwise).
+        ``"serial"``, ``"process"``, or ``"workqueue"`` pick a backend
+        by name (``n_workers`` sizes it; the pool applies the same
+        caps whichever way it was selected); a
+        :class:`~repro.dist.SweepExecutor` instance is used as-is.
         The fault-tolerant ``"workqueue"`` backend coordinates
         independent worker processes through an on-disk queue with
         leases, crash-absorbing supervision, and poison-unit
@@ -1005,14 +943,6 @@ def run_comparison(
         Under ``on_error="raise"`` the work-queue backend raises
         :class:`~repro.errors.SimulationError` (the original exception
         type does not cross the process boundary).
-    share_event_streams:
-        Per-trial event-stream sharing (default on): the merged
-        fault/request/contact stream is built once per trial and
-        reused by every protocol via ``Simulation(prebuilt_events=)``
-        — bit-identical to the per-protocol merge it replaces.
-        ``False`` restores merge-per-protocol (the benchmark baseline;
-        results are identical either way).  Sharing is skipped
-        automatically for memory-mapped traces, which stream instead.
     trial_spill_dir:
         Zero-copy trial handoff for parallel and distributed sweeps:
         the parent realizes each pending trial's trace once, spills it
@@ -1023,8 +953,9 @@ def run_comparison(
         so workers never re-hash.  Spilled traces take the engine's
         streamed mode — bit-identical to eager.  The directory is
         created if needed; files are left behind for inspection and
-        reuse.  Ignored by the plain serial path, which realizes each
-        trial exactly once anyway.
+        reuse.  Ignored by the in-process walk (the serial executor, or
+        a pool capped to one worker), which realizes each trial exactly
+        once anyway.
     """
     if n_trials <= 0:
         raise ConfigurationError(f"n_trials must be > 0, got {n_trials}")
@@ -1071,17 +1002,6 @@ def run_comparison(
         executor, n_workers=n_workers
     )
 
-    parallel = (
-        executor_obj is None and n_workers is not None and n_workers > 1
-    )
-    if parallel and "fork" not in multiprocessing.get_all_start_methods():
-        warnings.warn(
-            "n_workers > 1 needs the 'fork' start method; running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        parallel = False
-
     #: (trial, protocol) -> completed result / failure / telemetry,
     #: assembled into trial-major order at the end (identical to the
     #: serial walk) by the executor-agnostic accounting.
@@ -1116,40 +1036,11 @@ def run_comparison(
     )
     accounting.reporter = reporter
 
-    # Cap the pool at the machine and the workload: more workers than
-    # cores (or than pending units) only add fork and IPC overhead —
-    # BENCH_speed.json showed n_workers=4 on cpu_count=1 running slower
-    # than serial.  An effective count of 1 bypasses the pool entirely.
-    effective_workers = n_workers if n_workers is not None else 1
-    if parallel:
-        available_cpus = os.cpu_count() or 1
-        capped = min(
-            effective_workers, available_cpus, max(len(pending_units), 1)
-        )
-        if capped < effective_workers:
-            get_logger("repro.experiments.sweep").info(
-                "capping sweep workers",
-                requested=effective_workers,
-                effective=capped,
-                cpu_count=available_cpus,
-                pending_units=len(pending_units),
-            )
-        effective_workers = capped
-        if effective_workers <= 1:
-            parallel = False
-
-    if executor_obj is None:
-        if parallel and pending_units:
-            executor_obj = dist_executors.ProcessPoolExecutor(
-                effective_workers
-            )
-        else:
-            executor_obj = dist_executors.SerialExecutor()
-
     # Zero-copy trial handoff: realize each pending trial's trace once
     # in the parent, spill it to .ctb, and let every worker memory-map
-    # that copy.  The serial walk realizes each trial exactly once
-    # anyway, so it skips the spill (and keeps the faster eager mode).
+    # that copy.  The in-process walk realizes each trial exactly once
+    # anyway, so it never reads spills (and keeps the faster eager
+    # mode).
     trial_spills: Optional[Dict[int, str]] = None
     if (
         trial_spill_dir is not None
@@ -1182,11 +1073,6 @@ def run_comparison(
 
     executor_extras: Optional[Dict[str, Any]] = None
     if pending_units:
-        spec_extra: Dict[str, Any] = {
-            "share_event_streams": share_event_streams,
-        }
-        if trial_spills:
-            spec_extra["trial_spills"] = trial_spills
         spec = dist_executors.SweepSpec(
             trace_factory=trace_factory,
             demand=demand,
@@ -1202,7 +1088,7 @@ def run_comparison(
             cache=cache,
             base_seed=base_seed,
             n_trials=n_trials,
-            extra=spec_extra,
+            trial_spills=trial_spills or None,
         )
         executor_extras = executor_obj.execute(
             pending_units, spec, accounting.record
@@ -1249,7 +1135,6 @@ def run_comparison(
         "protocols": sorted(protocols),
         "executor": executor_obj.name or type(executor_obj).__name__,
         "n_workers": getattr(executor_obj, "n_workers", 1),
-        "share_event_streams": share_event_streams,
         "n_spilled_trials": len(trial_spills) if trial_spills else 0,
         "n_runs_executed": len(pending_units),
         "n_failures": len(failures),

@@ -19,7 +19,11 @@ from .conftest import make_spec, make_units
 class TestResolveExecutor:
     def test_none_defers_to_historical_behavior(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_executor(None) is None
+        assert isinstance(resolve_executor(None), SerialExecutor)
+        assert isinstance(resolve_executor(None, n_workers=1), SerialExecutor)
+        pool = resolve_executor(None, n_workers=3)
+        assert isinstance(pool, ProcessPoolExecutor)
+        assert pool.n_workers == 3
 
     def test_env_var_selects_a_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "serial")

@@ -3,7 +3,8 @@
 The amortization contract has two halves: each per-trial artifact is
 computed *at most once* (the memo tests count underlying hash passes),
 and reusing it never changes a single bit of any result (the sweep
-tests compare shared/unshared and spilled/regenerated runs exactly).
+tests compare sweeps against an inline-merge ``simulate()`` loop, and
+every executor's spilled/cached/faulted sweep against the serial one).
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ import pytest
 from repro.contacts import homogeneous_poisson_trace
 from repro.contacts.binary import binary_trace_metadata
 from repro.demand import DemandModel, generate_requests
-from repro.experiments import TrialArtifacts, run_comparison
+from repro.experiments import TrialArtifacts, result_to_dict, run_comparison
 from repro.experiments.artifacts import (
     SPILL_FINGERPRINT_KEY,
     load_spilled_trace,
     spill_trial_trace,
 )
+from repro.experiments.runner import _derive_trial_seeds
 from repro.faults import FaultSchedule
 from repro.protocols import prop_protocol, uni_protocol
-from repro.sim import SimulationConfig
+from repro.sim import SimulationConfig, simulate
 from repro.simcache import (
     fingerprint_faults,
     fingerprint_requests,
@@ -158,13 +160,6 @@ class TestEventStreamMemo:
         assert first is not None
         assert inputs.event_stream(config) is first
 
-    def test_sharing_disabled_returns_none(self, workload, config):
-        trace, requests = workload
-        inputs = TrialArtifacts(
-            trace, requests, 17, share_event_stream=False
-        )
-        assert inputs.event_stream(config) is None
-
     def test_memmapped_trace_never_materializes(
         self, workload, config, tmp_path
     ):
@@ -242,35 +237,71 @@ def assert_identical(a, b):
             assert np.array_equal(x.final_counts, y.final_counts)
 
 
+def churn(trial):
+    """A per-trial fault factory: a fresh schedule object per call."""
+    return FaultSchedule.node_churn(
+        N,
+        crash_rate=0.01,
+        mean_downtime=10.0,
+        duration=DURATION,
+        seed=100 + trial,
+    )
+
+
+def inline_loop(demand, config, protocols, faults=None):
+    """The sweep's runs without any sharing: every protocol merges its
+    own event stream and gets its own fault schedule object."""
+    results = {name: [] for name in protocols}
+    for trial, (trace_seed, request_seed, sim_seed) in enumerate(
+        _derive_trial_seeds(11, 2)
+    ):
+        trace = trace_factory(trace_seed)
+        requests = generate_requests(
+            demand, trace.n_nodes, trace.duration, seed=request_seed
+        )
+        for name, factory in protocols.items():
+            results[name].append(
+                simulate(
+                    trace,
+                    requests,
+                    config,
+                    factory(trace, requests),
+                    seed=sim_seed,
+                    faults=faults(trial) if faults is not None else None,
+                )
+            )
+    return results
+
+
+def assert_matches_inline(sweep_result, inline):
+    assert set(sweep_result.stats) == set(inline)
+    for name, expected in inline.items():
+        got = sweep_result.stats[name].results
+        assert len(got) == len(expected)
+        for x, y in zip(got, expected):
+            dx, dy = result_to_dict(x), result_to_dict(y)
+            dx.pop("manifest", None)
+            dy.pop("manifest", None)
+            assert dx == dy, name
+        assert np.array_equal(
+            sweep_result.stats[name].gain_rates,
+            [r.gain_rate for r in expected],
+        ), name
+
+
 class TestSweepSharing:
     def test_shared_vs_unshared_serial(self, demand, config, protocols):
-        shared = sweep(demand, config, protocols, share_event_streams=True)
-        unshared = sweep(
-            demand, config, protocols, share_event_streams=False
-        )
-        assert_identical(shared, unshared)
-        assert shared.manifest["share_event_streams"] is True
-        assert unshared.manifest["share_event_streams"] is False
+        shared = sweep(demand, config, protocols)
+        assert_matches_inline(shared, inline_loop(demand, config, protocols))
 
     def test_shared_with_faults(self, demand, config, protocols):
-        def faults(trial):
-            return FaultSchedule.node_churn(
-                N,
-                crash_rate=0.01,
-                mean_downtime=10.0,
-                duration=DURATION,
-                seed=100 + trial,
-            )
-
-        shared = sweep(
-            demand, config, protocols, faults=faults,
-            share_event_streams=True,
+        shared = sweep(demand, config, protocols, faults=churn)
+        assert_matches_inline(
+            shared, inline_loop(demand, config, protocols, faults=churn)
         )
-        unshared = sweep(
-            demand, config, protocols, faults=faults,
-            share_event_streams=False,
-        )
-        assert_identical(shared, unshared)
+        assert any(
+            r.n_crashes for r in shared.stats["UNI"].results
+        ), "the churn schedule must actually crash nodes"
 
 
 @fork_only
@@ -340,3 +371,45 @@ class TestSpillHandoff:
         assert not (tmp_path / "spills").exists() or not os.listdir(
             tmp_path / "spills"
         )
+
+
+# ----------------------------------------------------------------------
+# every executor x every trial-scoped feature == serial
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("feature", ["faults", "run_cache", "spill"])
+@pytest.mark.parametrize(
+    "executor",
+    [
+        "serial",
+        pytest.param("process", marks=fork_only),
+        pytest.param("workqueue", marks=fork_only),
+    ],
+)
+def test_executor_matches_serial(
+    demand, config, protocols, tmp_path, monkeypatch, executor, feature
+):
+    # Enough pretend cores that the process executor really pools.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def feature_kwargs(tag):
+        if feature == "faults":
+            return {"faults": churn}
+        if feature == "run_cache":
+            return {"run_cache": tmp_path / f"cache-{tag}"}
+        return {"trial_spill_dir": tmp_path / f"spills-{tag}"}
+
+    serial = sweep(
+        demand, config, protocols, executor="serial",
+        **feature_kwargs("reference"),
+    )
+    other = sweep(
+        demand, config, protocols, executor=executor, n_workers=2,
+        **feature_kwargs("candidate"),
+    )
+    assert_identical(serial, other)
+    assert [(t.trial, t.protocol, t.status) for t in other.telemetry] == [
+        (t.trial, t.protocol, t.status) for t in serial.telemetry
+    ]
+    if feature == "spill":
+        expected = 0 if executor == "serial" else 2
+        assert other.manifest["n_spilled_trials"] == expected

@@ -303,26 +303,33 @@ class TestSweepCaching:
         assert "run_cache" not in result.manifest
 
 
+@pytest.mark.parametrize("executor", [None, "process"])
 class TestWorkerCap:
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
+    """The pool's caps hold however the pool was selected."""
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, executor):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
         stream = io.StringIO()
         set_log_stream(stream)
         try:
-            result = sweep(demand, config(), None, n_workers=4)
+            result = sweep(
+                demand, config(), None, n_workers=4, executor=executor
+            )
         finally:
             set_log_stream(None)
         assert result.manifest["n_workers"] == 2
         assert "capping sweep workers" in stream.getvalue()
 
-    def test_single_effective_worker_bypasses_pool(self, monkeypatch):
+    def test_single_effective_worker_bypasses_pool(
+        self, monkeypatch, executor
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         def no_pool(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("pool must not be used with 1 worker")
 
-        monkeypatch.setattr(runner_mod, "_run_units_parallel", no_pool)
+        monkeypatch.setattr(runner_mod, "_run_pool", no_pool)
         demand = DemandModel.pareto(I, omega=1.0, total_rate=2.0)
-        result = sweep(demand, config(), None, n_workers=4)
+        result = sweep(demand, config(), None, n_workers=4, executor=executor)
         assert result.manifest["n_workers"] == 1
