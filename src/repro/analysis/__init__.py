@@ -1,4 +1,12 @@
-"""Whole-program static analysis: ``repro analyze``.
+"""Whole-program static analysis (``repro analyze``) and the front end
+both static-analysis layers share.
+
+Shared with :mod:`repro.lint`: the one parse (:class:`Program` /
+:class:`ModuleInfo`: AST, import table, ``# repro-lint: ignore[...]``
+suppressions), the one :class:`Report` (text, JSON and SARIF), the
+``--format`` / ``--select`` / catalog CLI handling, and the effect
+tables of :mod:`repro.analysis.effects`, which RPL001 (``UNSEEDED_RNG``)
+and RPL002 (``WALL_CLOCK``) classify each call against.
 
 Where :mod:`repro.lint` checks one file at a time, this package parses
 *all* of ``src/repro`` into a module + call graph and runs a fixed-point
@@ -20,10 +28,9 @@ the inferred summaries:
   :mod:`repro.obs.events` registry (RPA003, error) and every registry
   entry must be emitted somewhere (RPA004, dead-entry warning).
 
-Suppressions reuse the ``# repro-lint: ignore[RPA001]`` comment syntax
-shared with :mod:`repro.lint`; a committed baseline file ratchets: new
-findings fail, the baseline can only shrink.  See
-``docs/static_analysis.md``.
+Suppressions use the same ``# repro-lint: ignore[RPA001]`` comments as
+:mod:`repro.lint`; a committed baseline file ratchets: new findings
+fail, the baseline can only shrink.  See ``docs/static_analysis.md``.
 
 The package exports lazily (PEP 562): product modules that only want
 the runtime-no-op markers (``@declared_effects`` /
@@ -53,10 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-time re-exports
         UNSEEDED_RNG,
         WALL_CLOCK,
     )
-    from .findings import AnalysisFinding, PathStep
+    from .findings import AnalysisFinding, Finding, PathStep
     from .inference import EffectSummary, infer_effects
     from .program import ModuleInfo, Program
-    from .runner import AnalysisReport, run_analysis
+    from .report import Report
+    from .runner import run_analysis
 
 #: Lazily exported name -> defining submodule.
 _EXPORTS = {
@@ -72,6 +80,7 @@ _EXPORTS = {
     "UNSEEDED_RNG": "effects",
     "WALL_CLOCK": "effects",
     "AnalysisFinding": "findings",
+    "Finding": "findings",
     "PathStep": "findings",
     "ModuleInfo": "program",
     "Program": "program",
@@ -80,7 +89,7 @@ _EXPORTS = {
     "build_call_graph": "callgraph",
     "EffectSummary": "inference",
     "infer_effects": "inference",
-    "AnalysisReport": "runner",
+    "Report": "report",
     "run_analysis": "runner",
 }
 

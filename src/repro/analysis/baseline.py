@@ -23,7 +23,7 @@ from typing import FrozenSet, List, Optional, Sequence
 
 from ..durable import atomic_write_text
 from ..errors import ConfigurationError
-from .findings import AnalysisFinding
+from .findings import Finding
 
 __all__ = [
     "DEFAULT_BASELINE_PATH",
@@ -59,14 +59,14 @@ def load_baseline(path: Path) -> Optional[FrozenSet[str]]:
 
 
 def split_by_baseline(
-    findings: Sequence[AnalysisFinding],
+    findings: Sequence[Finding],
     baseline: Optional[FrozenSet[str]],
-) -> "tuple[List[AnalysisFinding], List[AnalysisFinding]]":
+) -> "tuple[List[Finding], List[Finding]]":
     """Partition into ``(new, baselined)``."""
     if not baseline:
         return list(findings), []
-    new: List[AnalysisFinding] = []
-    known: List[AnalysisFinding] = []
+    new: List[Finding] = []
+    known: List[Finding] = []
     for finding in findings:
         if finding.fingerprint() in baseline:
             known.append(finding)
@@ -76,7 +76,7 @@ def split_by_baseline(
 
 
 def update_baseline(
-    path: Path, findings: Sequence[AnalysisFinding]
+    path: Path, findings: Sequence[Finding]
 ) -> FrozenSet[str]:
     """Rewrite the baseline, ratcheting: it can only shrink.
 

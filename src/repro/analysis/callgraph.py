@@ -44,7 +44,7 @@ from typing import (
     Tuple,
 )
 
-from .program import ModuleInfo, Program
+from .program import ModuleInfo, Program, dotted_name
 
 __all__ = [
     "AMBIENT_METHOD_NAMES",
@@ -176,71 +176,16 @@ class CallSite:
 
 
 class _ModuleSymbols:
-    """Name-resolution view of one module."""
+    """Name-resolution view of one module (imports live on the module)."""
 
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
-        self.is_package = info.path.endswith("__init__.py") or (
-            "/" not in info.name and "." not in info.path
-        )
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: local name -> (module, symbol | None)
-        self.imports: Dict[str, Tuple[str, Optional[str]]] = {}
         #: local alias -> dotted source expression (``A = B.c``)
         self.aliases: Dict[str, str] = {}
         #: module-level string constants (``RUN_START = "run_start"``)
         self.constants: Dict[str, str] = {}
-
-    def package_of(self, level: int) -> str:
-        """The module's package walked up *level* steps (PEP 328)."""
-        name = self.info.name
-        if not self.is_package:
-            name = name.rpartition(".")[0]
-        for _ in range(max(level - 1, 0)):
-            name = name.rpartition(".")[0]
-        return name
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
-def _collect_imports(symbols: _ModuleSymbols) -> None:
-    """Record every import in the module, wherever it appears.
-
-    Function-level imports (used for cycle breaking all over the
-    package) land in the same table; a same-name collision at module
-    granularity is not observed in practice and would only widen
-    resolution.
-    """
-    for node in ast.walk(symbols.info.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                symbols.imports[local] = (target, None)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = symbols.package_of(node.level)
-                module = (
-                    f"{base}.{node.module}" if node.module else base
-                )
-            else:
-                module = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                symbols.imports[local] = (module, alias.name)
 
 
 def _collect_definitions(
@@ -261,7 +206,7 @@ def _collect_definitions(
                 node=stmt,
                 base_names=tuple(
                     name
-                    for name in (_dotted(base) for base in stmt.bases)
+                    for name in (dotted_name(base) for base in stmt.bases)
                     if name is not None
                 ),
             )
@@ -286,7 +231,7 @@ def _collect_definitions(
             ):
                 symbols.constants[target.id] = stmt.value.value
             else:
-                source = _dotted(stmt.value)
+                source = dotted_name(stmt.value)
                 if source is not None:
                     symbols.aliases[target.id] = source
     return functions
@@ -310,7 +255,7 @@ def _function_info(
     surface = False
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _dotted(target)
+        name = dotted_name(target)
         if name is None:
             continue
         decorators.append(name)
@@ -437,8 +382,8 @@ class CallGraph:
             return ("function", syms.functions[symbol].qname)
         if symbol in syms.classes:
             return ("class", syms.classes[symbol].qname)
-        if symbol in syms.imports:
-            target_module, target_symbol = syms.imports[symbol]
+        if symbol in syms.info.imports:
+            target_module, target_symbol = syms.info.imports[symbol]
             if target_symbol is None:
                 if self.program.is_internal(target_module):
                     return ("module", target_module)
@@ -483,9 +428,6 @@ class CallGraph:
             return value
         return None
 
-    def function_module(self, qname: str) -> str:
-        return qname.partition(":")[0]
-
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qname in sorted(self.functions):
             yield self.functions[qname]
@@ -503,7 +445,6 @@ def build_call_graph(program: Program) -> CallGraph:
     for name in sorted(program.modules):
         module = program.modules[name]
         syms = _ModuleSymbols(module)
-        _collect_imports(syms)
         all_functions.extend(_collect_definitions(syms, module))
         graph.symbols[name] = syms
         for cls in syms.classes.values():
@@ -571,7 +512,7 @@ def _annotation_classes(
             for name in _annotation_classes(graph, module, inner):
                 if name not in classes:
                     classes.append(name)
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             continue
         kind, value = _resolve_dotted(graph, module, dotted)
@@ -643,7 +584,7 @@ def _value_types(
     if isinstance(value, ast.Name):
         return locals_types.get(value.id, ())
     if isinstance(value, ast.Call):
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         if dotted is not None:
             kind, resolved = _resolve_dotted(graph, module, dotted)
             if kind == "class" and resolved is not None:
@@ -802,7 +743,7 @@ class _FunctionScanner:
         if resolved[0] in ("function", "callable"):
             return resolved[1]
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None and dotted.rsplit(".", 1)[-1] == "partial":
                 if value.args:
                     inner = self._resolve_value(value.args[0])

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ...lint.suppressions import SuppressionMap
 from ..findings import PathStep
 from ..program import Program
+from ..suppressions import SuppressionMap
 
 __all__ = ["path_suppressed"]
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ...lint.findings import Finding
 from ..callgraph import CallGraph
 from ..effects import DICT_ORDER, DYNAMIC, UNSEEDED_RNG, WALL_CLOCK
-from ..findings import AnalysisFinding
+from ..findings import AnalysisFinding, Finding
 from ..inference import EffectSummary, witness_trace
 from ..program import Program
 from ..surfaces import collect_surfaces
@@ -68,7 +67,7 @@ def check_determinism(
                 AnalysisFinding(
                     path=info.path,
                     line=info.lineno,
-                    col=0,
+                    col=1,
                     code=CODE,
                     message=(
                         f"{_EFFECT_PHRASES[effect]} reaches "

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ...lint.findings import Finding
 from ..callgraph import CallGraph
 from ..effects import FS_WRITE
-from ..findings import AnalysisFinding
+from ..findings import AnalysisFinding, Finding
 from ..inference import EffectSummary, witness_trace
 from ..program import Program
 from .common import path_suppressed
@@ -83,7 +82,7 @@ def check_durability(
             AnalysisFinding(
                 path=leaf.path,
                 line=leaf.line,
-                col=0,
+                col=1,
                 code=CODE,
                 message=(
                     f"raw filesystem write reachable from "

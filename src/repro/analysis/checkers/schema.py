@@ -27,11 +27,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...lint.findings import Finding
 from ..callgraph import CallGraph
-from ..findings import AnalysisFinding, PathStep
+from ..findings import AnalysisFinding, Finding, PathStep
 from ..inference import EffectSummary
-from ..program import Program
+from ..program import Program, dotted_name
 from .common import path_suppressed
 
 __all__ = ["CODE_UNKNOWN", "CODE_DEAD", "check_schema"]
@@ -105,24 +104,12 @@ def _emitted_kinds(
             ):
                 kind = first.value
             else:
-                dotted = _expr_dotted(first)
+                dotted = dotted_name(first)
                 if dotted is not None:
                     kind = graph.resolve_constant(info.module, dotted)
             if kind is not None:
                 emitted.append((kind, info.qname, site.line))
     return emitted
-
-
-def _expr_dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
 
 
 def check_schema(
@@ -161,7 +148,7 @@ def check_schema(
             AnalysisFinding(
                 path=info.path,
                 line=line,
-                col=0,
+                col=1,
                 code=CODE_UNKNOWN,
                 message=(
                     f"event kind '{kind}' emitted by {info.display} is "
@@ -197,7 +184,7 @@ def check_schema(
             AnalysisFinding(
                 path=registry_path,
                 line=line,
-                col=0,
+                col=1,
                 code=CODE_DEAD,
                 message=(
                     f"schema entry '{kind}' is never emitted by any "

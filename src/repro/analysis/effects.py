@@ -4,13 +4,19 @@ Effects are plain strings; a function's summary is a ``frozenset`` of
 them, so the lattice join is set union — finite and monotone, which is
 what lets :mod:`repro.analysis.inference` run a fixed point.
 
-* ``SEEDED_RNG`` — randomness drawn from an explicitly seeded source
-  (``random.Random(seed)``, ``numpy.random.default_rng(seed)``).
-  Deterministic by construction; recorded so the boundary is visible.
-* ``UNSEEDED_RNG`` — global/OS entropy (``random.random``, the
-  ``numpy.random.*`` module-level globals, argless ``default_rng()``,
-  ``secrets``, ``uuid.uuid4``, ``os.urandom``).
-* ``WALL_CLOCK`` — host-clock reads; mirrors the per-file RPL002 table.
+* ``SEEDED_RNG`` — randomness drawn from explicit, seeded state
+  (``random.Random(seed)``, ``numpy.random.default_rng(seed)``,
+  ``Generator`` / ``SeedSequence`` / ``PCG64``).  Deterministic by
+  construction; recorded so the boundary is visible.
+* ``UNSEEDED_RNG`` — global/OS entropy: the stdlib ``random`` module
+  functions and numpy's legacy ``numpy.random.*`` globals — including
+  *seeding* them (``random.seed``, ``numpy.random.seed``), because
+  global state is shared across the protocols of a trial and differs
+  between the serial walk and forked workers — argless
+  ``default_rng()`` / ``Random()``, ``secrets``, ``uuid.uuid4``,
+  ``os.urandom``.  RPL001 flags these per file.
+* ``WALL_CLOCK`` — host-clock reads.  RPL002 flags the same table per
+  file.
 * ``DICT_ORDER`` — observable iteration order of a ``set`` (string
   hashing is randomized per process) or an unsorted directory listing.
 * ``FS_WRITE`` — raw filesystem mutation: ``open`` with a writing (or
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionInfo, own_body_nodes
+from .program import dotted_name
 
 __all__ = [
     "ALL_EFFECTS",
@@ -97,9 +104,8 @@ class Leaf:
 # external-callee tables
 # ---------------------------------------------------------------------------
 
-#: Host-clock reads — the same table RPL002 checks per file (kept in
-#: lock-step so a clock call flagged by lint taints the same functions
-#: here).
+#: Host-clock reads.  ``time.sleep`` is absent on purpose: the retry
+#: backoff waits, it never *reads* time.
 _CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -121,9 +127,12 @@ _CLOCK_CALLS = frozenset(
     }
 )
 
-#: Module-level global-RNG / OS-entropy callees.
+#: Module-level global-RNG / OS-entropy callees.  ``default_rng``,
+#: ``SeedSequence``, ``Generator`` and the bit generators are numpy's
+#: sanctioned, explicit-state API.
 _UNSEEDED_CALLS = frozenset(
     {
+        "random.seed",
         "random.random",
         "random.randint",
         "random.randrange",
@@ -138,16 +147,23 @@ _UNSEEDED_CALLS = frozenset(
         "random.betavariate",
         "random.getrandbits",
         "random.SystemRandom",
+        "numpy.random.seed",
+        "numpy.random.get_state",
+        "numpy.random.set_state",
         "numpy.random.rand",
         "numpy.random.randn",
         "numpy.random.randint",
         "numpy.random.random",
         "numpy.random.random_sample",
+        "numpy.random.ranf",
+        "numpy.random.sample",
         "numpy.random.choice",
         "numpy.random.shuffle",
         "numpy.random.permutation",
         "numpy.random.uniform",
         "numpy.random.normal",
+        "numpy.random.standard_normal",
+        "numpy.random.binomial",
         "numpy.random.exponential",
         "numpy.random.poisson",
         "secrets.token_bytes",
@@ -161,12 +177,10 @@ _UNSEEDED_CALLS = frozenset(
     }
 )
 
-#: Explicit seeding — deterministic by construction, tracked so the
+#: Explicit RNG state — deterministic by construction, tracked so the
 #: seeded/unseeded boundary shows up in summaries.
 _SEEDED_CALLS = frozenset(
     {
-        "random.seed",
-        "numpy.random.seed",
         "numpy.random.Generator",
         "numpy.random.PCG64",
         "numpy.random.SeedSequence",
@@ -334,9 +348,11 @@ def classify_external_call(
     if dotted in _CLOCK_CALLS:
         return (WALL_CLOCK, f"'{dotted}' reads the host clock")
     if dotted in _UNSEEDED_CALLS:
-        return (UNSEEDED_RNG, f"'{dotted}' draws unseeded randomness")
+        return (
+            UNSEEDED_RNG, f"'{dotted}' uses global or OS-entropy RNG state"
+        )
     if dotted in _SEEDED_CALLS:
-        return (SEEDED_RNG, f"'{dotted}' seeds / uses explicit RNG state")
+        return (SEEDED_RNG, f"'{dotted}' builds explicit RNG state")
     if tail == "default_rng" or dotted == "numpy.random.default_rng":
         if call.args or call.keywords:
             return (SEEDED_RNG, f"'{dotted}(seed)' constructs a seeded generator")
@@ -446,7 +462,7 @@ def _syntactic_leaves(graph: CallGraph, info: FunctionInfo) -> List[Leaf]:
     for item in body_nodes:
         # os.environ reads that are not call-shaped (subscript, `in`).
         if isinstance(item, ast.Attribute):
-            dotted = _attr_dotted(item)
+            dotted = dotted_name(item)
             if dotted == "os.environ" and not _is_environ_call(
                 item, parents
             ):
@@ -511,18 +527,6 @@ def _syntactic_leaves(graph: CallGraph, info: FunctionInfo) -> List[Leaf]:
     return leaves
 
 
-def _attr_dotted(node: ast.Attribute) -> Optional[str]:
-    parts = [node.attr]
-    current: ast.AST = node.value
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 def _is_environ_call(node: ast.Attribute, parents: Dict[int, ast.AST]) -> bool:
     """True when this ``os.environ`` is the base of a method call.
 
@@ -549,7 +553,7 @@ def _is_unsorted_listing(
 ) -> bool:
     dotted = None
     if isinstance(call.func, ast.Attribute):
-        dotted = _attr_dotted(call.func)
+        dotted = dotted_name(call.func)
         tail = call.func.attr
     elif isinstance(call.func, ast.Name):
         dotted = call.func.id

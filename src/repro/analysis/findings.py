@@ -1,11 +1,16 @@
-"""Whole-program findings: a lint finding plus a propagation path.
+"""Findings: one violation at a source location, optionally with a path.
 
-An :class:`AnalysisFinding` extends the per-file
-:class:`repro.lint.findings.Finding` with the inter-procedural
-*trace* — the chain of call sites from the checked root down to the
-leaf operation that introduced the effect.  Rendering prints the chain
-``file:line`` by ``file:line`` so a reader can follow the taint without
-opening the analyzer.
+A :class:`Finding` pins one violation to ``file:line:col`` (columns are
+1-based, for both layers) and carries the code (``RPL001``…,
+``RPA001``…), a message, and a fix hint.  Findings sort by (file, line,
+column, code) so reports are stable across runs — the analyzers
+themselves must be deterministic, for obvious reasons.
+
+An :class:`AnalysisFinding` adds the whole-program *trace* — the chain
+of call sites from the checked root down to the leaf operation that
+introduced the effect.  Rendering prints the chain ``file:line`` by
+``file:line`` so a reader can follow the taint without opening the
+analyzer.
 """
 
 from __future__ import annotations
@@ -13,9 +18,46 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
-from ..lint.findings import Finding
+__all__ = ["AnalysisFinding", "Finding", "PathStep"]
 
-__all__ = ["AnalysisFinding", "PathStep"]
+
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One rule violation at a source location."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+    hint: str = ""
+
+    def render(self) -> str:
+        """The one-line text form: ``path:line:col: CODE message``."""
+        text = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        if self.hint:
+            text += f"\n    hint: {self.hint}"
+        return text
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serializable form used by ``--format json``."""
+        return {
+            "file": self.path,
+            "line": self.line,
+            "col": self.col,
+            "code": self.code,
+            "message": self.message,
+            "hint": self.hint,
+        }
+
+    def fingerprint(self) -> str:
+        """Line-number-free identity used by the baseline ratchet.
+
+        Stable across unrelated edits to the same files: built from the
+        code, the anchor file, and the message (which names the symbols
+        involved, not their line numbers).
+        """
+        return f"{self.code}::{self.path}::{self.message}"
 
 
 @dataclass(frozen=True, order=True)
@@ -62,12 +104,3 @@ class AnalysisFinding(Finding):
         payload = super().to_dict()
         payload["trace"] = [step.to_dict() for step in self.trace]
         return payload
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity used by the baseline ratchet.
-
-        Stable across unrelated edits to the same files: built from the
-        rule code, the anchor file, and the message (which names the
-        symbols involved, not their line numbers).
-        """
-        return f"{self.code}::{self.path}::{self.message}"

@@ -1,4 +1,4 @@
-"""repro-lint: repo-specific static analysis for the reproduction.
+"""repro-lint: repo-specific per-file static analysis for the reproduction.
 
 The reproduction's correctness claims — bit-identical seeded runs and
 paper-faithful welfare numbers — depend on conventions no general
@@ -8,7 +8,15 @@ engine API, the stable fault -> request -> contact event merge, tolerant
 float comparisons in the welfare math, no shared mutable state, no
 swallowed loader errors, and fork-safe parallel work units.  This
 package turns those conventions into machine-checked rules (``RPL001``…)
-with a plugin registry, inline suppressions, and text/JSON reporting.
+with a plugin registry.
+
+Everything around the rules is shared with ``repro analyze``
+(:mod:`repro.analysis`): files are parsed once by
+:class:`~repro.analysis.program.Program`, suppressions and the
+:class:`~repro.analysis.report.Report` (text, JSON, SARIF) are the
+same, and RPL001/RPL002 classify each call, resolved through the
+file's imports, against the effect tables in
+:mod:`repro.analysis.effects`.
 
 Run it as ``repro lint [paths]``; see docs/static_analysis.md for the
 rule catalog.
@@ -16,17 +24,17 @@ rule catalog.
 
 from __future__ import annotations
 
-from .findings import Finding
+from ..analysis.findings import Finding
+from ..analysis.report import Report
 from .registry import FileContext, Rule, all_rules, register
-from .runner import LintReport, lint_source, run_lint
+from .runner import run_lint
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "LintReport",
+    "Report",
     "all_rules",
     "register",
     "run_lint",
-    "lint_source",
 ]

@@ -1,11 +1,12 @@
-"""The ``repro lint`` subcommand."""
+"""The ``repro lint`` subcommand (flags and exit codes shared with
+``repro analyze``, see :mod:`repro.analysis.cli`)."""
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional, Sequence
 
-from .registry import all_rules
+from ..analysis.cli import add_report_arguments, run_report_command
+from .registry import rule_catalog
 from .runner import run_lint
 
 __all__ = ["add_lint_arguments", "cmd_lint"]
@@ -20,30 +21,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=list(DEFAULT_PATHS),
         help="files or directories to lint (default: src/repro)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (json is the CI-artifact form)",
-    )
-    parser.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-
-
-def _render_catalog() -> str:
-    lines = []
-    for rule in all_rules():
-        lines.append(f"{rule.code} {rule.name}")
-        lines.append(f"    {rule.summary}")
-    return "\n".join(lines)
+    add_report_arguments(parser, list_flag="--list-rules", noun="rule")
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -51,15 +29,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     Exit codes: 0 clean, 1 findings or parse errors.
     """
-    if args.list_rules:
-        print(_render_catalog())
-        return 0
-    select: Optional[Sequence[str]] = None
-    if args.select:
-        select = [code.strip() for code in args.select.split(",") if code.strip()]
-    report = run_lint(args.paths, select=select)
-    if args.format == "json":
-        print(report.render_json())
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
+    return run_report_command(
+        args, rule_catalog(), lambda select: run_lint(args.paths, select=select)
+    )

@@ -2,8 +2,9 @@
 
 A rule is a subclass of :class:`Rule` registered with the
 :func:`register` decorator.  The runner instantiates every registered
-rule once per process and calls :meth:`Rule.check` per file with the
-parsed module and a :class:`FileContext`.
+rule once per run and calls :meth:`Rule.check` per file with the
+parsed module's AST and a :class:`FileContext` around its
+:class:`~repro.analysis.program.ModuleInfo`.
 
 Rules scope themselves by *logical path* — the path parts below the
 package root (``src/repro/sim/engine.py`` → ``("sim", "engine.py")``).
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Tuple, Type
 
+from ..analysis.findings import Finding
+from ..analysis.program import ModuleInfo
+from ..analysis.report import Catalog
 from ..errors import ConfigurationError
-from .findings import Finding
 
-__all__ = ["FileContext", "Rule", "register", "all_rules", "rules_by_code"]
+__all__ = ["FileContext", "Rule", "register", "all_rules", "rule_catalog"]
 
 #: Anchors below which the logical path starts; ``repro`` covers the real
 #: package, ``fixtures`` covers the lint test corpus.
@@ -49,11 +52,11 @@ def logical_parts(path: Path) -> Tuple[str, ...]:
 class FileContext:
     """Everything a rule may know about the file under analysis."""
 
-    def __init__(self, path: Path, source: str) -> None:
-        self.path = path
-        self.source = source
-        self.display_path = str(path)
-        self.parts = logical_parts(path)
+    def __init__(self, module: ModuleInfo) -> None:
+        #: The parsed file: AST, import table, suppressions.
+        self.module = module
+        self.display_path = module.path
+        self.parts = logical_parts(Path(module.path))
 
     def in_directory(self, name: str) -> bool:
         """True when the file sits (anywhere) under package dir *name*."""
@@ -126,13 +129,6 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
 
 
-def rules_by_code(select: Sequence[str]) -> List[Rule]:
-    """Instances for the requested codes; unknown codes raise."""
-    available = {rule.code: rule for rule in all_rules()}
-    unknown = [code for code in select if code not in available]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown rule code(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(available))}"
-        )
-    return [available[code] for code in select]
+def rule_catalog() -> Catalog:
+    """code -> (name, summary) for every registered rule."""
+    return {rule.code: (rule.name, rule.summary) for rule in all_rules()}

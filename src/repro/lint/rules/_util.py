@@ -5,25 +5,17 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
+from ...analysis.effects import classify_external_call
+from ...analysis.program import dotted_name
+from ..registry import FileContext
+
 __all__ = [
     "dotted_name",
     "call_name",
     "iter_calls",
+    "iter_effect_calls",
     "is_name_constant",
 ]
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Resolve a ``Name``/``Attribute`` chain to ``a.b.c``, else ``None``."""
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
 
 
 def call_name(call: ast.Call) -> Optional[str]:
@@ -36,6 +28,23 @@ def iter_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node, call_name(node)
+
+
+def iter_effect_calls(
+    tree: ast.AST, ctx: FileContext, effect: str
+) -> Iterator[Tuple[ast.Call, str]]:
+    """Calls the effect tables classify as *effect*, with the table's note.
+
+    Each callee is resolved through the file's imports first, so
+    ``from time import perf_counter; perf_counter()`` is
+    ``time.perf_counter`` just as it is for ``repro analyze``.
+    """
+    for call, name in iter_calls(tree):
+        if name is None:
+            continue
+        classified = classify_external_call(ctx.module.resolve(name), call)
+        if classified is not None and classified[0] == effect:
+            yield call, classified[1]
 
 
 def is_name_constant(node: ast.AST, *names: str) -> bool:

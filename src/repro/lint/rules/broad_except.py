@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding
+from ...analysis.findings import Finding
 from ..registry import FileContext, Rule, register
 from ._util import is_name_constant
 

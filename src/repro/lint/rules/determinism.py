@@ -7,6 +7,12 @@ that silently: global state is shared across protocols within a trial
 and differs between the serial walk and forked workers.  All randomness
 must flow through explicitly seeded :class:`numpy.random.Generator`
 objects (``repro.types.as_rng`` / the ``sim/seeding.py`` path).
+
+Besides ``random`` imports, the rule flags every call in the
+``UNSEEDED_RNG`` table of :mod:`repro.analysis.effects` (the one
+``repro analyze`` infers from) — including seeding the global state
+with ``random.seed`` / ``np.random.seed`` — and ``default_rng()`` /
+``Random()`` without a seed.
 """
 
 from __future__ import annotations
@@ -14,39 +20,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding
+from ...analysis.effects import UNSEEDED_RNG
+from ...analysis.findings import Finding
 from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from ._util import iter_effect_calls
 
 __all__ = ["DeterminismRule"]
-
-#: numpy.random module-level functions that touch the hidden global
-#: ``RandomState`` (the legacy API).  ``default_rng``/``SeedSequence``/
-#: ``Generator``/bit generators are the sanctioned, explicit-state API.
-_LEGACY_GLOBAL = frozenset(
-    {
-        "seed",
-        "random",
-        "rand",
-        "randn",
-        "randint",
-        "random_sample",
-        "ranf",
-        "sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "exponential",
-        "poisson",
-        "binomial",
-        "get_state",
-        "set_state",
-    }
-)
-
 
 @register
 class DeterminismRule(Rule):
@@ -82,21 +61,9 @@ class DeterminismRule(Rule):
                         "import from stdlib 'random' relies on unseeded "
                         "global state",
                     )
-        for call, name in iter_calls(tree):
-            if name is None:
-                continue
-            head, _, tail = name.rpartition(".")
-            if head in ("np.random", "numpy.random") and tail in _LEGACY_GLOBAL:
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"'{name}' uses numpy's hidden global RandomState; "
-                    "seeded runs are no longer reproducible",
-                )
-            elif tail == "default_rng" and not call.args and not call.keywords:
-                yield self.finding(
-                    ctx,
-                    call,
-                    "default_rng() without a seed draws OS entropy; every "
-                    "RNG must be derived from the run's seed",
-                )
+        for call, note in iter_effect_calls(tree, ctx, UNSEEDED_RNG):
+            yield self.finding(
+                ctx,
+                call,
+                f"{note}; seeded runs are no longer reproducible",
+            )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding
+from ...analysis.findings import Finding
 from ..registry import FileContext, Rule, register
 from ._util import iter_calls
 

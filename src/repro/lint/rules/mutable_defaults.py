@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..findings import Finding
+from ...analysis.findings import Finding
 from ..registry import FileContext, Rule, register
 from ._util import dotted_name
 

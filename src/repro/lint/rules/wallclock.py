@@ -11,6 +11,9 @@ backend's clock seam ``dist/clock.py`` — the one sanctioned place the
 host clock enters lease deadlines, and injectable precisely so tests
 never touch it.  Everything else that wants a duration goes through
 :class:`repro.obs.timing.Stopwatch`.
+
+The clock calls are the ``WALL_CLOCK`` table of
+:mod:`repro.analysis.effects`, the one ``repro analyze`` infers from.
 """
 
 from __future__ import annotations
@@ -18,35 +21,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding
+from ...analysis.effects import WALL_CLOCK
+from ...analysis.findings import Finding
 from ..registry import FileContext, Rule, register
-from ._util import iter_calls
+from ._util import iter_effect_calls
 
 __all__ = ["WallClockRule"]
-
-#: Callee names that read the host clock.  ``time.sleep`` is absent on
-#: purpose: the retry backoff waits, it never *reads* time.
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "date.today",
-    }
-)
-
 
 @register
 class WallClockRule(Rule):
@@ -74,11 +54,9 @@ class WallClockRule(Rule):
         return not ctx.matches("obs", "timing.py")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for call, name in iter_calls(tree):
-            if name in _CLOCK_CALLS:
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"'{name}' reads the host clock; results become "
-                    "machine- and load-dependent",
-                )
+        for call, note in iter_effect_calls(tree, ctx, WALL_CLOCK):
+            yield self.finding(
+                ctx,
+                call,
+                f"{note}; results become machine- and load-dependent",
+            )

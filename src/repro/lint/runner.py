@@ -1,73 +1,25 @@
 """Lint driver: walk paths, parse, run rules, apply suppressions.
 
 The public entry points are :func:`run_lint` (programmatic) and
-:func:`repro.lint.cli.main` (the ``repro lint`` subcommand).  Output is
-deterministic: files are visited in sorted order and findings sorted by
-location, so CI diffs are stable.
+:func:`repro.lint.cli.cmd_lint` (the ``repro lint`` subcommand).  Files
+are parsed by :meth:`repro.analysis.program.Program.from_files`, the
+same parse ``repro analyze`` uses, and reported through the shared
+:class:`~repro.analysis.report.Report`.  Output is deterministic: files
+are visited in sorted order and findings sorted by location, so CI
+diffs are stable.
 """
 
 from __future__ import annotations
 
-import ast
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from ..analysis.program import Program
+from ..analysis.report import JSON_VERSION, Report, select_codes
 from ..errors import ConfigurationError
-from .findings import Finding
-from .registry import FileContext, Rule, all_rules, rules_by_code
-from .suppressions import parse_suppressions
+from .registry import FileContext, all_rules, rule_catalog
 
-__all__ = ["LintReport", "run_lint", "lint_source"]
-
-#: Schema version of the ``--format json`` payload.
-JSON_VERSION = 1
-
-
-@dataclass
-class LintReport:
-    """Outcome of one lint run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    n_files: int = 0
-    n_suppressed: int = 0
-    #: Files that failed to parse: (path, error message).
-    parse_errors: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings and not self.parse_errors
-
-    def render_text(self) -> str:
-        lines = [finding.render() for finding in self.findings]
-        lines.extend(
-            f"{path}: parse error: {message}"
-            for path, message in self.parse_errors
-        )
-        summary = (
-            f"{len(self.findings)} finding(s) in {self.n_files} file(s)"
-            f", {self.n_suppressed} suppressed"
-        )
-        if self.parse_errors:
-            summary += f", {len(self.parse_errors)} parse error(s)"
-        lines.append(summary)
-        return "\n".join(lines)
-
-    def render_json(self) -> str:
-        payload = {
-            "version": JSON_VERSION,
-            "tool": "repro-lint",
-            "n_files": self.n_files,
-            "n_findings": len(self.findings),
-            "n_suppressed": self.n_suppressed,
-            "parse_errors": [
-                {"file": path, "message": message}
-                for path, message in self.parse_errors
-            ],
-            "findings": [finding.to_dict() for finding in self.findings],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+__all__ = ["JSON_VERSION", "run_lint"]
 
 
 def _iter_python_files(paths: Sequence[Path]) -> List[Path]:
@@ -80,70 +32,44 @@ def _iter_python_files(paths: Sequence[Path]) -> List[Path]:
         elif not path.exists():
             raise ConfigurationError(f"no such file or directory: {path}")
     # Deduplicate while preserving sorted order per input path.
-    seen = set()
-    unique: List[Path] = []
+    unique: Dict[Path, Path] = {}
     for path in files:
-        resolved = path.resolve()
-        if resolved in seen:
-            continue
-        seen.add(resolved)
-        unique.append(path)
-    return unique
-
-
-def lint_source(
-    source: str,
-    path: Path,
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Finding], int, Optional[str]]:
-    """Lint one in-memory source file.
-
-    Returns ``(findings, n_suppressed, parse_error)``; *parse_error* is
-    an error message when the file is not valid Python.
-    """
-    ctx = FileContext(path, source)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as error:
-        return [], 0, f"line {error.lineno}: {error.msg}"
-    suppressions = parse_suppressions(source)
-    if suppressions.skip_file:
-        return [], 0, None
-    active = list(rules) if rules is not None else all_rules()
-    findings: List[Finding] = []
-    n_suppressed = 0
-    for rule in active:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(tree, ctx):
-            if suppressions.is_suppressed(finding.line, finding.code):
-                n_suppressed += 1
-            else:
-                findings.append(finding)
-    findings.sort()
-    return findings, n_suppressed, None
+        unique.setdefault(path.resolve(), path)
+    return list(unique.values())
 
 
 def run_lint(
     paths: Sequence[str],
     *,
     select: Optional[Sequence[str]] = None,
-) -> LintReport:
+) -> Report:
     """Lint every ``.py`` file under *paths* with the registered rules.
 
-    *select* restricts the run to the listed rule codes.
+    *select* restricts the run to the listed rule codes; unknown codes
+    raise :class:`~repro.errors.ConfigurationError`.
     """
-    rules = rules_by_code(list(select)) if select else all_rules()
-    report = LintReport()
-    for path in _iter_python_files([Path(p) for p in paths]):
-        source = path.read_text(encoding="utf-8")
-        findings, n_suppressed, parse_error = lint_source(
-            source, path, rules
-        )
-        report.n_files += 1
-        report.n_suppressed += n_suppressed
-        if parse_error is not None:
-            report.parse_errors.append((str(path), parse_error))
-        report.findings.extend(findings)
+    catalog = rule_catalog()
+    selected = select_codes(select, catalog, "rule")
+    rules = [r for r in all_rules() if selected is None or r.code in selected]
+    files = _iter_python_files([Path(p) for p in paths])
+    program = Program.from_files(files)
+    report = Report(
+        tool="repro-lint",
+        catalog=catalog,
+        n_files=len(files),
+        parse_errors=program.parse_errors,
+    )
+    for module in program.modules.values():
+        if module.suppressions.skip_file:
+            continue
+        ctx = FileContext(module)
+        for rule in rules:
+            if not rule.applies_to(ctx):
+                continue
+            for finding in rule.check(module.tree, ctx):
+                if module.suppressions.is_suppressed(finding.line, finding.code):
+                    report.n_suppressed += 1
+                else:
+                    report.findings.append(finding)
     report.findings.sort()
     return report

@@ -9,6 +9,8 @@ because the tree is clean, not because the checker is blind.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.runner import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -38,6 +40,41 @@ class WallClockProtocol(ReplicationProtocol):
     def on_fulfill(self, sim, t, requester, provider, item, counter):
         stamp()
 '''
+
+#: Protocol hooks drawing from numpy's hidden global RandomState, once
+#: through a from-import and once by seeding it.
+_GLOBAL_RNG_PROTOCOLS = {
+    "from-import": '''\
+from numpy.random import standard_normal
+
+from .base import ReplicationProtocol
+
+
+class GlobalRngProtocol(ReplicationProtocol):
+    name = "FXRNG"
+
+    def initialize(self, sim):
+        pass
+
+    def on_fulfill(self, sim, t, requester, provider, item, counter):
+        standard_normal()
+''',
+    "global-seed": '''\
+import numpy as np
+
+from .base import ReplicationProtocol
+
+
+class GlobalRngProtocol(ReplicationProtocol):
+    name = "FXRNG"
+
+    def initialize(self, sim):
+        pass
+
+    def on_fulfill(self, sim, t, requester, provider, item, counter):
+        np.random.seed(1)
+''',
+}
 
 _RAW_SINK = '''\
 import json
@@ -93,6 +130,22 @@ def test_rpa001_clock_in_protocol_hook_crosses_modules():
     # back to the one injected leaf.
     for f in report.findings:
         assert "_fx_clock" in f.trace[-1].path, f.render()
+
+
+@pytest.mark.parametrize("variant", sorted(_GLOBAL_RNG_PROTOCOLS))
+def test_rpa001_global_rng_in_protocol_hook(variant):
+    report = analyze(
+        {"repro.protocols._fx_rng": _GLOBAL_RNG_PROTOCOLS[variant]},
+        "RPA001",
+    )
+    hook = [
+        f
+        for f in report.findings
+        if "GlobalRngProtocol.on_fulfill" in f.message
+    ]
+    assert len(hook) == 1, [f.render() for f in report.findings]
+    assert "unseeded randomness" in hook[0].message
+    assert "numpy.random." in hook[0].trace[-1].note
 
 
 def test_rpa002_raw_write_in_dist():

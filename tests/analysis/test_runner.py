@@ -14,6 +14,7 @@ from repro.analysis.baseline import (
 from repro.analysis.cli import add_analyze_arguments, cmd_analyze
 from repro.analysis.findings import AnalysisFinding, PathStep
 from repro.analysis.runner import CHECKS, run_analysis
+from repro.cli import main
 from repro.errors import ConfigurationError
 
 FIXPKG = Path(__file__).parent / "fixtures" / "fixpkg"
@@ -131,6 +132,12 @@ def test_cli_list_checks(capsys):
     out = capsys.readouterr().out
     for check in CHECKS:
         assert check in out
+
+
+def test_cli_unknown_select_code_fails(capsys):
+    code = main(["analyze", str(FIXPKG), "--baseline", "", "--select", "RPA01"])
+    assert code != 0
+    assert "unknown check code(s) RPA01" in capsys.readouterr().err
 
 
 def test_cli_update_baseline_requires_baseline_path(capsys):

@@ -31,6 +31,13 @@ def test_benchmarks_tree_is_lint_clean() -> None:
     assert report.ok, f"repro lint found violations at HEAD:\n{rendered}"
 
 
+def test_examples_tree_is_lint_clean() -> None:
+    report = run_lint([str(REPO_ROOT / "examples")])
+    rendered = "\n".join(f.render() for f in report.findings)
+    assert report.ok, f"repro lint found violations at HEAD:\n{rendered}"
+    assert report.n_files > 0
+
+
 def test_py_typed_marker_ships() -> None:
     assert (SRC / "py.typed").is_file()
 
