@@ -18,12 +18,13 @@ rest of the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ...errors import ConfigurationError
 from ...mobility import RandomWaypointModel, extract_contacts
-from ...types import SeedLike, as_rng
+from ...types import FloatArray, SeedLike, as_rng
 from ..trace import ContactTrace
 
 __all__ = ["VehicularTraceConfig", "vehicular_trace"]
@@ -68,12 +69,10 @@ class VehicularTraceConfig:
         return self.duration_hours * 60.0
 
 
-def vehicular_trace(
-    config: VehicularTraceConfig = VehicularTraceConfig(),
-    seed: SeedLike = None,
-) -> ContactTrace:
-    """Sample a synthetic vehicular trace per *config*."""
-    rng = as_rng(seed)
+def _waypoint_sampling(
+    config: VehicularTraceConfig,
+) -> Tuple[RandomWaypointModel, FloatArray]:
+    """The cab mobility model of *config* and its sample instants (s)."""
     model = RandomWaypointModel(
         width=config.area_side_m,
         height=config.area_side_m,
@@ -85,6 +84,16 @@ def vehicular_trace(
     )
     horizon_s = config.duration_hours * 3600.0
     times_s = np.arange(0.0, horizon_s + config.sample_interval_s, config.sample_interval_s)
+    return model, times_s
+
+
+def vehicular_trace(
+    config: VehicularTraceConfig = VehicularTraceConfig(),
+    seed: SeedLike = None,
+) -> ContactTrace:
+    """Sample a synthetic vehicular trace per *config*."""
+    rng = as_rng(seed)
+    model, times_s = _waypoint_sampling(config)
     positions = model.sample_positions(config.n_nodes, times_s, seed=rng)
     trace_seconds = extract_contacts(
         positions, times_s, radius=config.contact_radius_m

@@ -1,6 +1,6 @@
 """The ``repro bench`` speed harness: measured, tracked performance.
 
-Two measurements, both written to ``BENCH_speed.json`` at the repo root
+Six measurements, all written to ``BENCH_speed.json`` at the repo root
 so the perf trajectory is tracked across PRs:
 
 * **engine throughput** — one simulation run (events processed per
@@ -34,6 +34,10 @@ so the perf trajectory is tracked across PRs:
   non-lazy greedy on a trace-sized instance.  Both must return the
   identical allocation; the report records wall time and the number of
   marginal-gain evaluations each performed (the lazy savings).
+* **trace synthesis** — one default Figure 6 vehicular trace
+  (:func:`~repro.contacts.synthetic.vehicular_trace`): seconds spent
+  sampling waypoint positions, extracting contacts, and the whole call,
+  plus the contact count.  Recorded only, never gated.
 
 Timing numbers are noisy by nature; consumers (CI's perf-smoke job)
 should fail on *crashes or identity violations*, never on timings.
@@ -57,8 +61,11 @@ from ..allocation.submodular import (
     greedy_heterogeneous,
 )
 from ..contacts import homogeneous_poisson_trace, load_binary
+from ..contacts.synthetic import VehicularTraceConfig, vehicular_trace
+from ..contacts.synthetic.vehicular import _waypoint_sampling
 from ..demand import DemandModel, generate_requests
 from ..faults import FaultSchedule
+from ..mobility import extract_contacts
 from ..obs.sinks import MemorySink
 from ..obs.tracer import Tracer
 from ..sim._reference import ReferenceSimulation
@@ -610,6 +617,31 @@ def _bench_allocation(
     }
 
 
+def _bench_trace_synthesis(
+    config: VehicularTraceConfig, *, seed: int
+) -> Dict[str, Any]:
+    """Time one vehicular trace: waypoint knots, extraction, whole call."""
+    model, times_s = _waypoint_sampling(config)
+    start = time.perf_counter()
+    positions = model.sample_positions(config.n_nodes, times_s, seed=seed)
+    knots_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    extract_contacts(positions, times_s, radius=config.contact_radius_m)
+    extraction_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    trace = vehicular_trace(config, seed=seed)
+    total_seconds = time.perf_counter() - start
+    return {
+        "n_nodes": config.n_nodes,
+        "n_frames": len(times_s),
+        "seed": seed,
+        "knots_seconds": knots_seconds,
+        "extraction_seconds": extraction_seconds,
+        "total_seconds": total_seconds,
+        "n_contacts": len(trace),
+    }
+
+
 def run_speed_benchmark(
     *,
     quick: bool = False,
@@ -673,6 +705,7 @@ def run_speed_benchmark(
         rho=3 if quick else 5,
         seed=23,
     )
+    trace_synthesis = _bench_trace_synthesis(VehicularTraceConfig(), seed=0)
     report: Dict[str, Any] = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -687,6 +720,7 @@ def run_speed_benchmark(
         "parallel": parallel,
         "sweep_amortization": amortization,
         "allocation": allocation,
+        "trace_synthesis": trace_synthesis,
     }
     if output is not None:
         tmp_path = f"{os.fspath(output)}.tmp"
@@ -834,6 +868,22 @@ def render_speed_report(report: Dict[str, Any]) -> str:
         ],
         title="allocation solver (lazy vs. naive greedy)",
     )
+    synth = report["trace_synthesis"]
+    synth_table = render_table(
+        ["metric", "value"],
+        [
+            [
+                "trace",
+                f"{synth['n_nodes']} nodes x {synth['n_frames']:,} frames, "
+                f"seed {synth['seed']}",
+            ],
+            ["waypoint knots", f"{synth['knots_seconds']:.3f}s"],
+            ["extraction", f"{synth['extraction_seconds']:.3f}s"],
+            ["total", f"{synth['total_seconds']:.3f}s"],
+            ["contacts", f"{synth['n_contacts']:,}"],
+        ],
+        title="trace synthesis (default vehicular trace)",
+    )
     return (
         engine_table
         + "\n\n"
@@ -844,4 +894,6 @@ def render_speed_report(report: Dict[str, Any]) -> str:
         + amort_table
         + "\n\n"
         + alloc_table
+        + "\n\n"
+        + synth_table
     )

@@ -685,8 +685,13 @@ def figure6(
     if n_workers is None:
         n_workers = profile.n_workers
 
+    # One scenario serves every sweep point (with_utility swaps in each
+    # point's utility for the placeholder), so the seed-0 probe trace
+    # behind mu_estimate is built once per figure, not once per point.
+    vehicular = vehicular_scenario(StepUtility(1.0), record_interval=None)
+
     def scenario_for(utility: DelayUtility) -> Scenario:
-        scenario = vehicular_scenario(utility, record_interval=None)
+        scenario = vehicular.with_utility(utility)
         timeout = recommended_timeout(utility, 14400.0)
         return replace(
             scenario,

@@ -17,6 +17,9 @@ from ..types import FloatArray
 
 __all__ = ["extract_contacts"]
 
+#: Frames per vectorized pass of :func:`extract_contacts`.
+_BLOCK_FRAMES = 64
+
 
 def extract_contacts(
     positions: FloatArray,
@@ -54,35 +57,31 @@ def extract_contacts(
         raise ConfigurationError(f"radius must be > 0, got {radius}")
 
     n_nodes = positions.shape[1]
-    iu = np.triu_indices(n_nodes, k=1)
+    iu_a, iu_b = np.triu_indices(n_nodes, k=1)
     event_times = []
     event_a = []
     event_b = []
-    previous = np.zeros(len(iu[0]), dtype=bool)
-    for k in range(len(times)):
-        frame = positions[k]
-        deltas = frame[iu[0]] - frame[iu[1]]
-        in_range = (deltas[:, 0] ** 2 + deltas[:, 1] ** 2) <= radius**2
-        started = in_range & ~previous
-        count = int(started.sum())
-        if count:
-            event_times.append(np.full(count, times[k]))
-            event_a.append(iu[0][started])
-            event_b.append(iu[1][started])
-        previous = in_range
-
-    if event_times:
-        all_times = np.concatenate(event_times)
-        all_a = np.concatenate(event_a)
-        all_b = np.concatenate(event_b)
-    else:
-        all_times = np.empty(0)
-        all_a = np.empty(0, dtype=np.int64)
-        all_b = np.empty(0, dtype=np.int64)
+    # One pass per block of frames: each block yields (frames, pairs)
+    # arrays computed with the per-frame arithmetic, and nonzero() lists
+    # encounter starts in (frame, pair) order, the order a frame-by-frame
+    # scan emits them.  Slicing per block keeps no whole-column copies.
+    previous = np.zeros((1, len(iu_a)), dtype=bool)
+    for k0 in range(0, len(times), _BLOCK_FRAMES):
+        x = positions[k0 : k0 + _BLOCK_FRAMES, :, 0]
+        y = positions[k0 : k0 + _BLOCK_FRAMES, :, 1]
+        dx = x[:, iu_a] - x[:, iu_b]
+        dy = y[:, iu_a] - y[:, iu_b]
+        in_range = (dx**2 + dy**2) <= radius**2
+        shifted = np.concatenate((previous, in_range[:-1]))
+        frame, pair = np.nonzero(in_range & ~shifted)
+        event_times.append(times[k0 + frame])
+        event_a.append(iu_a[pair])
+        event_b.append(iu_b[pair])
+        previous = in_range[-1:]
     return ContactTrace(
-        times=all_times,
-        node_a=all_a,
-        node_b=all_b,
+        times=np.concatenate(event_times),
+        node_a=np.concatenate(event_a),
+        node_b=np.concatenate(event_b),
         n_nodes=n_nodes,
         duration=float(times[-1]),
     )

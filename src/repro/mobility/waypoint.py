@@ -10,7 +10,7 @@ interpolation between waypoint knots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -88,12 +88,18 @@ class RandomWaypointModel:
 
     def _draw_waypoint(
         self, rng: np.random.Generator, home: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """A uniform waypoint, or a clipped normal around *home*."""
+    ) -> Tuple[float, float]:
+        """A uniform waypoint, or a clipped normal around *home*.
+
+        Scalar draws consume the generator exactly as one 2-vector draw
+        would (x, then y) and give the same values, without building
+        arrays for a single point.
+        """
         if home is None:
-            return rng.uniform((0.0, 0.0), (self.width, self.height))
-        point = rng.normal(home, self.home_std)
-        return np.clip(point, (0.0, 0.0), (self.width, self.height))
+            return rng.uniform(0.0, self.width), rng.uniform(0.0, self.height)
+        x = rng.normal(home[0], self.home_std)
+        y = rng.normal(home[1], self.home_std)
+        return min(max(x, 0.0), self.width), min(max(y, 0.0), self.height)
 
     def _node_knots(
         self,
@@ -103,15 +109,14 @@ class RandomWaypointModel:
     ) -> tuple:
         """Simulate one node's waypoint legs; return knot times/positions."""
         knot_t: List[float] = [0.0]
-        start = self._draw_waypoint(rng, home)
-        knot_xy: List[np.ndarray] = [start]
+        here = self._draw_waypoint(rng, home)
+        knot_xy: List[Tuple[float, float]] = [here]
         now = 0.0
-        here = start
         while now <= horizon:
             target = self._draw_waypoint(rng, home)
             speed = rng.uniform(self.speed_min, self.speed_max)
-            travel = float(np.hypot(*(target - here))) / speed
-            now += travel
+            travel = float(np.hypot(target[0] - here[0], target[1] - here[1]))
+            now += travel / speed
             knot_t.append(now)
             knot_xy.append(target)
             here = target

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.contacts.synthetic import VehicularTraceConfig, vehicular_trace
 from repro.experiments import EffortProfile, figure3, figure4, figure6
+from repro.experiments import figures, scenarios
 
 TINY = EffortProfile(
     label="tiny",
@@ -83,3 +85,31 @@ class TestFigure6Smoke:
             assert len(panel.x_values) == 1
             assert all(len(v) == 1 for v in panel.losses.values())
         assert "vehicular" in result.render()
+
+    def test_one_probe_trace_per_figure(self, monkeypatch):
+        """The seed-0 probe behind mu_estimate is built once per figure,
+        not once per sweep point, and a rerun builds it again: no state
+        carries over between figure calls."""
+        trace_seeds = []
+        mu_estimates = []
+
+        def counting_trace(config, seed=None):
+            trace_seeds.append(seed)
+            return vehicular_trace(config, seed=seed)
+
+        class NoRun:
+            def normalized_loss(self, name):
+                return 0.0
+
+        def recording_run(scenario, **kwargs):
+            mu_estimates.append(scenario.mu_estimate)
+            return NoRun()
+
+        monkeypatch.setattr(scenarios, "vehicular_trace", counting_trace)
+        monkeypatch.setattr(figures, "run_scenario", recording_run)
+        figure6(TINY)
+        assert trace_seeds == [0]
+        figure6(TINY)
+        assert trace_seeds == [0, 0]
+        probe = vehicular_trace(VehicularTraceConfig(), seed=0)
+        assert mu_estimates == [max(probe.mean_pair_rate, 1e-6)] * 6
